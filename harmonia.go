@@ -566,7 +566,7 @@ func (cl *Cluster) ReactivateSwitch(switches ...int) error {
 // CrashReplica fails replica i of group 0 and reconfigures the
 // protocol around it where supported — the whole story for
 // single-group clusters. Sharded clusters use CrashReplicaInGroup.
-func (cl *Cluster) CrashReplica(i int) error { return cl.c.CrashReplica(i) }
+func (cl *Cluster) CrashReplica(i int) error { return cl.c.CrashReplicaIn(0, i) }
 
 // CrashReplicaInGroup fails replica i of group g. Only that group
 // reconfigures; the other shards keep serving undisturbed. Bounds and
@@ -723,7 +723,7 @@ func (cl *Cluster) SlotTable() []int { return cl.c.SlotTable() }
 // The call drives the simulation until the handoff completes; load
 // started concurrently (via Engine timers or between Run calls) keeps
 // being served throughout, except for the frozen slot's own keys.
-func (cl *Cluster) MigrateSlot(slot, toGroup int) error { return cl.c.MigrateSlot(slot, toGroup) }
+func (cl *Cluster) MigrateSlot(slot, toGroup int) error { return cl.MigrateSlots([]int{slot}, toGroup) }
 
 // MigrateSlots moves a set of routing slots to toGroup as batch
 // handoffs: the slots are grouped by their current owner and each
@@ -731,7 +731,11 @@ func (cl *Cluster) MigrateSlot(slot, toGroup int) error { return cl.c.MigrateSlo
 // one route flip — amortizing the per-slot costs MigrateSlot pays
 // individually. Slots already owned by toGroup are no-op successes.
 func (cl *Cluster) MigrateSlots(slots []int, toGroup int) error {
-	return cl.c.MigrateSlots(slots, toGroup)
+	ops, err := cl.c.StartMigrateSlots(slots, toGroup)
+	if err != nil {
+		return err
+	}
+	return cl.c.Wait(ops...)
 }
 
 // SwapSlots exchanges two slot sets between their owning groups (each
@@ -740,7 +744,11 @@ func (cl *Cluster) MigrateSlots(slots []int, toGroup int) error {
 // group's slot occupancy. Both directions run as concurrent batch
 // handoffs.
 func (cl *Cluster) SwapSlots(slotsA, slotsB []int) error {
-	return cl.c.SwapSlots(slotsA, slotsB)
+	ma, mb, err := cl.c.StartSwapSlots(slotsA, slotsB)
+	if err != nil {
+		return err
+	}
+	return cl.c.Wait(ma, mb)
 }
 
 // --- Elastic membership ---
@@ -791,12 +799,12 @@ func (cl *Cluster) AddGroup(spec GroupSpec) (int, error) {
 	if err := cl.validateSpec(spec); err != nil {
 		return 0, err
 	}
-	g, err := cl.c.AddGroupWait(cluster.GroupSpec{
+	g, op, err := cl.c.AddGroup(cluster.GroupSpec{
 		Protocol: spec.Protocol.internal(),
 		Replicas: spec.Replicas,
 		Weight:   spec.Weight,
 	})
-	if err != nil {
+	if err := cl.wait(op, err); err != nil {
 		return g, fmt.Errorf("harmonia: %w", err)
 	}
 	return g, nil
@@ -812,7 +820,7 @@ func (cl *Cluster) AddGroup(spec GroupSpec) (int, error) {
 // completes; on failure (a batch could not drain) the group keeps its
 // remaining slots and stays live.
 func (cl *Cluster) RemoveGroup(g int) error {
-	if err := cl.c.RemoveGroup(g); err != nil {
+	if err := cl.wait(cl.c.StartRemoveGroup(g)); err != nil {
 		return fmt.Errorf("harmonia: %w", err)
 	}
 	return nil
@@ -831,11 +839,11 @@ func (cl *Cluster) RespecGroup(g int, spec GroupSpec) error {
 	if err := cl.validateSpec(spec); err != nil {
 		return err
 	}
-	if err := cl.c.RespecGroup(g, cluster.GroupSpec{
+	if err := cl.wait(cl.c.StartRespecGroup(g, cluster.GroupSpec{
 		Protocol: spec.Protocol.internal(),
 		Replicas: spec.Replicas,
 		Weight:   spec.Weight,
-	}); err != nil {
+	})); err != nil {
 		return fmt.Errorf("harmonia: %w", err)
 	}
 	return nil
@@ -851,10 +859,19 @@ func (cl *Cluster) RespecGroup(g int, spec GroupSpec) error {
 // victims retire through the revoke agreement. Afterwards every slot
 // is served again and the dead switch hosts nothing.
 func (cl *Cluster) ReassignDeadSwitch(s int) error {
-	if err := cl.c.ReassignDeadSwitch(s); err != nil {
+	if err := cl.wait(cl.c.StartReassignDeadSwitch(s)); err != nil {
 		return fmt.Errorf("harmonia: %w", err)
 	}
 	return nil
+}
+
+// wait drives a started elastic operation to completion, passing a
+// start error through.
+func (cl *Cluster) wait(op *cluster.Op, err error) error {
+	if err != nil {
+		return err
+	}
+	return cl.c.Wait(op)
 }
 
 // TopologyEpoch returns the rack topology's membership revision

@@ -94,12 +94,6 @@ func switchAddrOf(s int) simnet.NodeID {
 	return controllerAddr + simnet.NodeID(s) // 3..9 for switches 1..7
 }
 
-// groupReplicaAddr returns the network address of replica i of group
-// g's ORIGINAL member set (incarnation 0).
-func groupReplicaAddr(g, i int) simnet.NodeID {
-	return groupIncReplicaAddr(g, 0, i)
-}
-
 // incStride carves each group's groupStride-wide address window into
 // incarnation sub-windows: a membership respec replaces the whole
 // member set, and the simulated network's node IDs are permanent
@@ -423,9 +417,9 @@ func (c Config) ResolvedWeights() []float64 {
 	return c.Weights()
 }
 
-// ReplicaHandle is the cluster's view of one protocol replica.
+// ReplicaHandle is the cluster's view of one protocol replica's state
+// (the replica itself is the network node).
 type ReplicaHandle interface {
-	simnet.Handler
 	// Preload installs an object directly (cluster warm-up).
 	Preload(id wire.ObjectID, value []byte, seq wire.Seq)
 	// ExtractSlot copies the replica's live objects in one routing
@@ -493,10 +487,6 @@ type Cluster struct {
 	rack   *rack.Rack
 	groups []*replicaGroup
 
-	// replicas is the flattened, group-major view of every replica —
-	// the convenient shape for stats sweeps and single-group tests.
-	replicas []ReplicaHandle
-
 	ctl *controller
 
 	clients []*vclient
@@ -509,8 +499,8 @@ type Cluster struct {
 	// which the rack's agreement-latency stat is recorded.
 	replacing []*switchReplacement
 
-	// migrations tracks in-flight slot handoffs by slot.
-	migrations map[int]*Migration
+	// held maps each frozen slot to the operation holding it.
+	held map[int]*Op
 	// flushCtr numbers the drain protocol's flush writes.
 	flushCtr uint64
 
@@ -520,10 +510,8 @@ type Cluster struct {
 	// own groups, so the rebalancer can never ping-pong a slot across
 	// switch boundaries.
 	policies []*rebalance.Policy
-	// rebalanced counts slot moves completed by the rebalancer;
-	// rebalanceRounds counts its completed batch handoffs.
-	rebalanced      uint64
-	rebalanceRounds uint64
+	// rebalanced counts slot moves completed by the rebalancer.
+	rebalanced uint64
 
 	// opFree pools completed in-flight op records and varena carves
 	// their id-coded write payloads — the client-side halves of the
@@ -542,8 +530,8 @@ type Cluster struct {
 	// last computed at; rebalanceTick refreshes them when it moves.
 	topoSeen uint64
 
-	// reconfigs tracks in-flight elastic membership operations.
-	reconfigs []*Reconfig
+	// inflight lists the operations started and not yet settled.
+	inflight []*Op
 
 	// Hot-key replication state (nil map unless Config.HotKeys):
 	// promoted keys by object ID, plus a promotion-order slice so the
@@ -581,7 +569,7 @@ func New(cfg Config) *Cluster {
 		cfg:             cfg,
 		eng:             sim.NewEngine(cfg.Seed),
 		hist:            newRecorder(),
-		migrations:      make(map[int]*Migration),
+		held:            make(map[int]*Op),
 		replacing:       make([]*switchReplacement, cfg.Switches),
 	}
 	c.net = simnet.New(c.eng, simnet.LinkConfig{
@@ -626,7 +614,6 @@ func New(cfg Config) *Cluster {
 		grp.sched = c.newScheduler(g, c.rack.Epoch(c.rack.SwitchOfGroup(g)))
 		c.rack.SetGroup(g, grp.sched)
 		c.buildGroupReplicas(grp)
-		c.replicas = append(c.replicas, grp.replicas...)
 	}
 
 	// Replica↔replica and controller channels model TCP: reliable and
@@ -649,7 +636,9 @@ func New(cfg Config) *Cluster {
 	for _, grp := range c.groups {
 		c.ctl.grantGroupLeases(grp.idx, c.rack.Epoch(c.rack.SwitchOfGroup(grp.idx)))
 	}
-	c.startSweeps()
+	for _, grp := range c.groups {
+		c.startSweep(grp)
+	}
 	c.prime()
 	if cfg.AutoRebalance {
 		c.startRebalancer()
@@ -816,7 +805,7 @@ func (c *Cluster) rebalanceTick() {
 	// so the policy plans around them (and does not burn its trigger
 	// on a round that could start nothing).
 	busy := func(slot int) bool {
-		_, b := c.migrations[slot]
+		_, b := c.held[slot]
 		return b || c.rack.Frozen(slot)
 	}
 	for s, policy := range c.policies {
@@ -938,10 +927,6 @@ func (c *Cluster) SlotHeat() []core.SlotHeat { return c.rack.SlotHeat() }
 // rebalancer over the cluster's lifetime.
 func (c *Cluster) Rebalances() uint64 { return c.rebalanced }
 
-// RebalanceRounds returns the number of completed rebalancer batch
-// handoffs.
-func (c *Cluster) RebalanceRounds() uint64 { return c.rebalanceRounds }
-
 // linkGroup models the group's replica↔replica and controller channels
 // as TCP: reliable and FIFO (see New). Factored out so elastic
 // AddGroup/RespecGroup wire new member sets identically.
@@ -956,18 +941,10 @@ func (c *Cluster) linkGroup(grp *replicaGroup) {
 	}
 }
 
-// startSweeps arms the periodic §5.2 stray-entry sweep, one recurring
-// timer per scheduler partition.
-func (c *Cluster) startSweeps() {
-	for _, grp := range c.groups {
-		c.startSweep(grp)
-	}
-}
-
-// startSweep arms one group's sweep timer. The closure re-reads
-// grp.sched each tick so the sweep follows a replacement switch's (or
-// a respec's) new scheduler, and dies with the group: a retired
-// group's nil scheduler ends the chain.
+// startSweep arms one group's periodic §5.2 stray-entry sweep. The
+// closure re-reads grp.sched each tick so the sweep follows a
+// replacement switch's (or a respec's) new scheduler, and dies with the
+// group: a retired group's nil scheduler ends the chain.
 func (c *Cluster) startSweep(grp *replicaGroup) {
 	iv := c.cfg.SweepInterval
 	if iv <= 0 {
@@ -992,10 +969,6 @@ func (c *Cluster) Engine() *sim.Engine { return c.eng }
 // Network exposes the simulated network (tests).
 func (c *Cluster) Network() *simnet.Network { return c.net }
 
-// Scheduler exposes group 0's active switch program — the whole switch
-// state for single-group clusters (tests and stats).
-func (c *Cluster) Scheduler() *core.Scheduler { return c.groups[0].sched }
-
 // GroupScheduler exposes group g's active scheduler partition.
 func (c *Cluster) GroupScheduler(g int) *core.Scheduler { return c.groups[g].sched }
 
@@ -1013,10 +986,6 @@ func (c *Cluster) GroupWeights() []float64 { return c.rack.Topo().LiveWeights() 
 
 // Switches returns the switch front-end count.
 func (c *Cluster) Switches() int { return c.rack.Switches() }
-
-// Frontend exposes switch 0's front-end — the whole switch for
-// single-switch racks (tests and stats).
-func (c *Cluster) Frontend() *core.Frontend { return c.rack.Front(0) }
 
 // FrontendOf exposes switch s's front-end.
 func (c *Cluster) FrontendOf(s int) *core.Frontend { return c.rack.Front(s) }
@@ -1062,26 +1031,15 @@ func (c *Cluster) SlotSwitchTable() []int { return c.rack.SlotSwitchTable() }
 // Config returns the effective configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// writeDst and readDst give the normal-path entry points for group g's
-// protocol.
-func (c *Cluster) writeDst(g int) simnet.NodeID {
-	switch c.groups[g].spec.Protocol {
-	case Chain, CRAQ:
-		return c.groupAddr(g, 0) // head
-	default:
-		return c.groupAddr(g, 0) // primary / leader (index 0 at start)
-	}
-}
-
+// readDst gives the normal-path read entry point for group g's
+// protocol: the chain tail, else replica 0 (primary / leader; unused by
+// CRAQ's RandomReads mode). Writes always enter at replica 0 (head /
+// primary / leader at start).
 func (c *Cluster) readDst(g int) simnet.NodeID {
-	switch c.groups[g].spec.Protocol {
-	case Chain:
-		return c.groupAddr(g, c.groups[g].n-1) // tail
-	case CRAQ:
-		return c.groupAddr(g, 0) // unused: RandomReads mode
-	default:
-		return c.groupAddr(g, 0) // primary / leader
+	if c.groups[g].spec.Protocol == Chain {
+		return c.groupAddr(g, c.groups[g].n-1)
 	}
+	return c.groupAddr(g, 0)
 }
 
 func (c *Cluster) newScheduler(g int, epoch uint32) *core.Scheduler {
@@ -1093,7 +1051,7 @@ func (c *Cluster) newScheduler(g int, epoch uint32) *core.Scheduler {
 		Stages:             c.cfg.Stages,
 		SlotsPerStage:      c.cfg.SlotsPerStage,
 		Replicas:           addrs,
-		WriteDst:           c.writeDst(g),
+		WriteDst:           c.groupAddr(g, 0),
 		ReadDst:            c.readDst(g),
 		MulticastWrites:    grp.spec.Protocol == NOPaxos,
 		ClientBase:         clientBase,
@@ -1156,61 +1114,57 @@ func (c *Cluster) buildGroupReplicas(grp *replicaGroup) {
 	proc := simnet.ProcConfig{Workers: spec.Workers, Cost: cost}
 
 	n := grp.n
-	f := (n - 1) / 2
 	gid := grp.idx
 	grp.replicas = make([]ReplicaHandle, n)
+	env := func(i int) *replicaEnv { return &replicaEnv{c, addrs[i], swAddr} }
+	gc := func(i int) protocol.GroupConfig {
+		return protocol.GroupConfig{ID: gid, Replicas: addrs, Self: i, F: (n - 1) / 2}
+	}
+	add := func(i int, node simnet.Handler, h ReplicaHandle) {
+		grp.replicas[i] = h
+		c.net.AddNode(addrs[i], node, proc)
+	}
 	switch spec.Protocol {
 	case PB:
 		rs := make([]*pb.Replica, n)
-		for i := 0; i < n; i++ {
-			g := protocol.GroupConfig{ID: gid, Replicas: addrs, Self: i, F: f}
-			rs[i] = pb.New(&replicaEnv{c, addrs[i], swAddr}, g, spec.Shards)
+		for i := range rs {
+			rs[i] = pb.New(env(i), gc(i), spec.Shards)
 			rs[i].DisableCheck = c.cfg.DisableReadChecks
-			grp.replicas[i] = pbHandle{rs[i]}
-			c.net.AddNode(addrs[i], grp.replicas[i], proc)
+			add(i, rs[i], baseHandle{rs[i].Base})
 		}
 		grp.raw = rs
 	case Chain:
 		rs := make([]*chain.Replica, n)
-		for i := 0; i < n; i++ {
-			g := protocol.GroupConfig{ID: gid, Replicas: addrs, Self: i, F: f}
-			rs[i] = chain.New(&replicaEnv{c, addrs[i], swAddr}, g, spec.Shards)
+		for i := range rs {
+			rs[i] = chain.New(env(i), gc(i), spec.Shards)
 			rs[i].DisableCheck = c.cfg.DisableReadChecks
-			grp.replicas[i] = chainHandle{rs[i]}
-			c.net.AddNode(addrs[i], grp.replicas[i], proc)
+			add(i, rs[i], baseHandle{rs[i].Base})
 		}
 		grp.raw = rs
 	case CRAQ:
 		rs := make([]*craq.Replica, n)
-		for i := 0; i < n; i++ {
-			g := protocol.GroupConfig{ID: gid, Replicas: addrs, Self: i, F: f}
-			rs[i] = craq.New(&replicaEnv{c, addrs[i], swAddr}, g, spec.Shards)
-			grp.replicas[i] = craqHandle{rs[i]}
-			c.net.AddNode(addrs[i], grp.replicas[i], proc)
+		for i := range rs {
+			rs[i] = craq.New(env(i), gc(i), spec.Shards)
+			add(i, rs[i], craqHandle{rs[i]})
 		}
 		grp.raw = rs
 	case VR:
 		rs := make([]*vr.Replica, n)
 		opts := vr.DefaultOptions()
 		opts.EagerCompletions = c.cfg.EagerCompletions
-		for i := 0; i < n; i++ {
-			g := protocol.GroupConfig{ID: gid, Replicas: addrs, Self: i, F: f}
-			rs[i] = vr.New(&replicaEnv{c, addrs[i], swAddr}, g, spec.Shards, opts)
+		for i := range rs {
+			rs[i] = vr.New(env(i), gc(i), spec.Shards, opts)
 			rs[i].DisableCheck = c.cfg.DisableReadChecks
 			rs[i].OnViewChange = c.viewChangeHook(gid)
-			grp.replicas[i] = vrHandle{rs[i]}
-			c.net.AddNode(addrs[i], grp.replicas[i], proc)
+			add(i, rs[i], baseHandle{rs[i].Base})
 		}
 		grp.raw = rs
 	case NOPaxos:
 		rs := make([]*nopaxos.Replica, n)
-		for i := 0; i < n; i++ {
-			g := protocol.GroupConfig{ID: gid, Replicas: addrs, Self: i, F: f}
-			rs[i] = nopaxos.New(&replicaEnv{c, addrs[i], swAddr}, g, spec.Shards,
-				nopaxos.Options{SyncEvery: c.cfg.SyncEvery})
+		for i := range rs {
+			rs[i] = nopaxos.New(env(i), gc(i), spec.Shards, nopaxos.Options{SyncEvery: c.cfg.SyncEvery})
 			rs[i].DisableCheck = c.cfg.DisableReadChecks
-			grp.replicas[i] = nopaxosHandle{rs[i]}
-			c.net.AddNode(addrs[i], grp.replicas[i], proc)
+			add(i, rs[i], baseHandle{rs[i].Base})
 		}
 		grp.raw = rs
 	default:
@@ -1241,7 +1195,7 @@ func (c *Cluster) primeKey(g int) string {
 	if len(c.groups) == 1 {
 		return "__prime__"
 	}
-	k, ok := c.keyInGroup(g, fmt.Sprintf("__prime__%d_", g), -1)
+	k, ok := c.keyInGroup(g, fmt.Sprintf("__prime__%d_", g), false)
 	if !ok {
 		// At boot the default striping guarantees every group owns
 		// slots (MaxGroups == wire.NumSlots), so the search cannot
@@ -1253,28 +1207,20 @@ func (c *Cluster) primeKey(g int) string {
 
 // keyInGroup searches the deterministic key family prefix0, prefix1, …
 // for one the front-end currently routes to group g through a slot
-// that is neither avoidSlot (pass -1 to accept any) nor frozen. Used
-// for priming writes and for the migration drain's flush writes, which
-// must not land in the frozen slot they are trying to drain — or in
-// any other slot mid-migration, whose packets the front-end drops. The
-// search is bounded: a group can legitimately own no eligible slot
-// (every slot migrated away, or its remaining slots all frozen), in
-// which case ok is false.
-func (c *Cluster) keyInGroup(g int, prefix string, avoidSlot int) (key string, ok bool) {
-	return c.keyInGroupAny(g, prefix, avoidSlot, false)
-}
-
-// keyInGroupAny is keyInGroup with the frozen-slot exclusion optional:
-// allowFrozen is used only by the forced flush of a whole-group drain,
-// whose write carries wire.FlagFlush and may pass the freeze.
-func (c *Cluster) keyInGroupAny(g int, prefix string, avoidSlot int, allowFrozen bool) (key string, ok bool) {
+// that is not frozen (unless allowFrozen). Used for priming writes and
+// for the drain's flush writes, which must not land in a slot
+// mid-handoff, whose packets the front-end drops — except the forced
+// flush of a whole-group drain, whose write carries wire.FlagFlush and
+// may pass the freeze. The search is bounded: a group can legitimately
+// own no eligible slot (every slot migrated away, or its remaining
+// slots all frozen), in which case ok is false.
+func (c *Cluster) keyInGroup(g int, prefix string, allowFrozen bool) (key string, ok bool) {
 	// ~16 deterministic probes per slot of the table: ample to hit
 	// every eligible slot, while still terminating when none exists.
 	for t := 0; t < 16*wire.NumSlots; t++ {
 		k := fmt.Sprintf("%s%d", prefix, t)
 		id := wire.HashKey(k)
-		slot := wire.SlotOf(id)
-		if c.routeObj(id) == g && slot != avoidSlot && (allowFrozen || !c.rack.Frozen(slot)) {
+		if c.routeObj(id) == g && (allowFrozen || !c.rack.Frozen(wire.SlotOf(id))) {
 			return k, true
 		}
 	}
@@ -1287,15 +1233,21 @@ func (c *Cluster) keyInGroupAny(g int, prefix string, avoidSlot int, allowFrozen
 // replacements).
 func (c *Cluster) prime() {
 	for g := range c.groups {
-		key := c.primeKey(g)
-		pkt := &wire.Packet{
-			Op: wire.OpWrite, ObjID: wire.HashKey(key), Key: key,
-			Group: uint16(g), ClientID: 0, ReqID: uint64(g + 1), Value: []byte{1},
-		}
-		c.net.Send(clientBase, c.switchAddrForObj(pkt.ObjID), pkt)
+		c.controlWrite(g, c.primeKey(g), uint64(g+1), 0)
 	}
 	// Drive the writes (and for NOPaxos, a sync round) to completion.
 	c.eng.RunFor(20 * time.Millisecond)
+}
+
+// controlWrite sends one write of key to group g under the priming
+// client identity (ClientID 0): the boot priming, an added group's
+// priming, and the drain's flush nudges.
+func (c *Cluster) controlWrite(g int, key string, reqID uint64, flags wire.Flags) {
+	pkt := &wire.Packet{
+		Op: wire.OpWrite, Flags: flags, ObjID: wire.HashKey(key), Key: key,
+		Group: uint16(g), ClientID: 0, ReqID: reqID, Value: []byte{1},
+	}
+	c.net.Send(clientBase, c.switchAddrForObj(pkt.ObjID), pkt)
 }
 
 // Preload installs n objects into their owning groups without going
@@ -1443,22 +1395,26 @@ func (c *Cluster) reactivateOneSwitch(s int) {
 	}
 }
 
-// CrashReplica fails replica i of group 0 — the whole story for
-// single-group clusters. Sharded clusters use CrashReplicaIn.
-func (c *Cluster) CrashReplica(i int) error { return c.CrashReplicaIn(0, i) }
+// checkLive rejects a group index that is out of range or retired.
+func (c *Cluster) checkLive(g int) error {
+	if g < 0 || g >= len(c.groups) {
+		return fmt.Errorf("cluster: group %d out of range", g)
+	}
+	if !c.rack.Live(g) {
+		return fmt.Errorf("cluster: group %d is retired", g)
+	}
+	return nil
+}
 
 // CrashReplicaIn fails replica i of group g: its node drops all
 // traffic and the group's protocol instance reconfigures around it
 // where supported (§5.3 server failures). The switch stops scheduling
 // that group's fast-path reads to it; other groups are untouched.
 func (c *Cluster) CrashReplicaIn(g, i int) error {
-	if g < 0 || g >= len(c.groups) {
-		return fmt.Errorf("cluster: group %d out of range", g)
+	if err := c.checkLive(g); err != nil {
+		return err
 	}
 	grp := c.groups[g]
-	if !c.rack.Live(g) {
-		return fmt.Errorf("cluster: group %d is retired", g)
-	}
 	if i < 0 || i >= grp.n {
 		// Bounds are per GROUP: a heterogeneous cluster's replica
 		// indices run to that group's own size, not a cluster-wide one.
@@ -1534,16 +1490,8 @@ func (c *Cluster) CrashReplicaIn(g, i int) error {
 	return nil
 }
 
-// SwitchAddr returns switch 0's network address — the whole switch
-// plane for single-switch racks (experiment hooks).
-func (c *Cluster) SwitchAddr() simnet.NodeID { return switchAddr }
-
 // SwitchAddrOf returns switch s's network address (experiment hooks).
 func (c *Cluster) SwitchAddrOf(s int) simnet.NodeID { return switchAddrOf(s) }
-
-// ReplicaAddr returns replica i of group 0's network address
-// (experiment hooks; see GroupReplicaAddr for sharded clusters).
-func (c *Cluster) ReplicaAddr(i int) simnet.NodeID { return groupReplicaAddr(0, i) }
 
 // GroupReplicaAddr returns replica i of group g's network address (the
 // current member set's).
@@ -1552,28 +1500,12 @@ func (c *Cluster) GroupReplicaAddr(g, i int) simnet.NodeID { return c.groupAddr(
 // ShimStats sums the replicas' fast-path shim counters across all
 // groups.
 func (c *Cluster) ShimStats() (served, rejected, leaseRejected uint64) {
-	add := func(b *protocol.Base) {
-		served += b.FastServed
-		rejected += b.FastRejected
-		leaseRejected += b.LeaseRejected
-	}
 	for _, grp := range c.groups {
-		switch rs := grp.raw.(type) {
-		case []*pb.Replica:
-			for _, r := range rs {
-				add(r.Base)
-			}
-		case []*chain.Replica:
-			for _, r := range rs {
-				add(r.Base)
-			}
-		case []*vr.Replica:
-			for _, r := range rs {
-				add(r.Base)
-			}
-		case []*nopaxos.Replica:
-			for _, r := range rs {
-				add(r.Base)
+		for _, r := range grp.replicas {
+			if h, ok := r.(baseHandle); ok {
+				served += h.b.FastServed
+				rejected += h.b.FastRejected
+				leaseRejected += h.b.LeaseRejected
 			}
 		}
 	}

@@ -109,7 +109,7 @@ func TestHarmoniaUsesFastPath(t *testing.T) {
 	spec := quickSpec()
 	spec.WriteRatio = 0.05
 	c.RunLoad(spec)
-	st := c.Scheduler().Stats
+	st := c.GroupScheduler(0).Stats
 	if st.FastReads == 0 {
 		t.Fatal("no fast-path reads scheduled")
 	}
@@ -121,7 +121,7 @@ func TestHarmoniaUsesFastPath(t *testing.T) {
 func TestBaselineNeverUsesFastPath(t *testing.T) {
 	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: false, Seed: 3})
 	c.RunLoad(quickSpec())
-	if st := c.Scheduler().Stats; st.FastReads != 0 {
+	if st := c.GroupScheduler(0).Stats; st.FastReads != 0 {
 		t.Fatalf("baseline used fast path %d times", st.FastReads)
 	}
 }
@@ -184,10 +184,10 @@ func TestSwitchFailoverRestoresService(t *testing.T) {
 		t.Fatal("no ops at all")
 	}
 	// New epoch active and serving fast reads again.
-	if c.Scheduler().Epoch() != 2 {
-		t.Fatalf("epoch = %d, want 2", c.Scheduler().Epoch())
+	if c.GroupScheduler(0).Epoch() != 2 {
+		t.Fatalf("epoch = %d, want 2", c.GroupScheduler(0).Epoch())
 	}
-	if !c.Scheduler().Ready() {
+	if !c.GroupScheduler(0).Ready() {
 		t.Fatal("replacement switch never became ready")
 	}
 	c.RunFor(20 * time.Millisecond)
@@ -220,7 +220,7 @@ func TestOldEpochFastReadsRefusedAfterFailover(t *testing.T) {
 	}
 	_ = fastStats(nil)
 	// (chain replicas expose Base counters directly)
-	if h, ok := c.replicas[1].(chainHandle); !ok || h.r.LeaseRejected == 0 {
+	if h, ok := c.groups[0].replicas[1].(baseHandle); !ok || h.b.LeaseRejected == 0 {
 		t.Fatal("old-epoch fast read was not refused by the lease gate")
 	}
 }
@@ -230,7 +230,7 @@ func TestCrashBackupKeepsServing(t *testing.T) {
 		t.Run(p.String(), func(t *testing.T) {
 			c := New(Config{Protocol: p, Replicas: 3, UseHarmonia: true, Seed: 21})
 			crash := 2 // last replica: chain tail / pb backup / vr+nopaxos follower
-			if err := c.CrashReplica(crash); err != nil {
+			if err := c.CrashReplicaIn(0, crash); err != nil {
 				t.Fatal(err)
 			}
 			spec := quickSpec()
@@ -248,7 +248,7 @@ func TestCrashBackupKeepsServing(t *testing.T) {
 
 func TestVRLeaderCrashTriggersViewChange(t *testing.T) {
 	c := New(Config{Protocol: VR, Replicas: 3, UseHarmonia: true, Seed: 23, RecordHistory: true})
-	if err := c.CrashReplica(0); err != nil {
+	if err := c.CrashReplicaIn(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	c.RunFor(100 * time.Millisecond) // view change timers fire
@@ -269,7 +269,7 @@ func TestVRLeaderCrashTriggersViewChange(t *testing.T) {
 
 func TestCrashPrimaryRejected(t *testing.T) {
 	c := New(Config{Protocol: PB, Replicas: 3, Seed: 1})
-	if err := c.CrashReplica(0); err == nil {
+	if err := c.CrashReplicaIn(0, 0); err == nil {
 		t.Fatal("PB primary crash should be rejected (needs external config service)")
 	}
 }
@@ -322,7 +322,7 @@ func TestSmallDirtySetDropsWritesUnderLoad(t *testing.T) {
 	spec.Clients = 32
 	spec.Keys = 1000
 	rep := c.RunLoad(spec)
-	if c.Scheduler().Stats.WritesDropped == 0 {
+	if c.GroupScheduler(0).Stats.WritesDropped == 0 {
 		t.Fatal("tiny dirty set never dropped a write")
 	}
 	// Drops are no longer silent: the switch's FlagDropped reply drives
@@ -367,8 +367,8 @@ func TestVisibilityCheckProtectsLaggingReplica(t *testing.T) {
 	c.RunLoad(laggardSpec())
 	c.RunFor(10 * time.Millisecond)
 	var rejected uint64
-	for _, h := range c.replicas {
-		rejected += h.(vrHandle).r.FastRejected
+	for _, h := range c.groups[0].replicas {
+		rejected += h.(baseHandle).b.FastRejected
 	}
 	if rejected == 0 {
 		t.Fatal("lagging replica never exercised the visibility check")
@@ -393,8 +393,8 @@ func TestAblationNoReadCheckViolatesLinearizability(t *testing.T) {
 		c.RunLoad(laggardSpec())
 		c.RunFor(10 * time.Millisecond)
 		var unsafeServed uint64
-		for _, h := range c.replicas {
-			unsafeServed += h.(vrHandle).r.UnsafeServed
+		for _, h := range c.groups[0].replicas {
+			unsafeServed += h.(baseHandle).b.UnsafeServed
 		}
 		if unsafeServed == 0 {
 			continue // this seed never hit the race; try another
@@ -413,7 +413,7 @@ func TestAblationNoReadCheckViolatesLinearizability(t *testing.T) {
 func TestSchedulerStatsAccumulate(t *testing.T) {
 	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Seed: 1})
 	c.RunLoad(quickSpec())
-	st := c.Scheduler().Stats
+	st := c.GroupScheduler(0).Stats
 	if st.Writes == 0 || st.Completions == 0 {
 		t.Fatalf("write path stats empty: %+v", st)
 	}

@@ -2,91 +2,24 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"harmonia/internal/core"
-	"harmonia/internal/protocol"
 	"harmonia/internal/rebalance"
-	"harmonia/internal/sim"
-	"harmonia/internal/store"
+	"harmonia/internal/simnet"
 	"harmonia/internal/wire"
 	"harmonia/internal/workload"
 )
 
 // Elastic membership: the four runtime mutations of the rack's
-// epoch-versioned topology.
-//
-//   - AddGroup builds a new replica group on the most loaded alive
-//     switch and seeds it a weight-fair slot share via the ordinary
-//     online migration protocol (heat-aware: the new group takes the
-//     rack's hottest slots first).
-//   - RemoveGroup evacuates a group's slots to the surviving live
-//     groups (weight-apportioned), then retires it through the §5.3
-//     revoke/ack agreement so no member can serve a fast read past
-//     retirement.
-//   - RespecGroup replaces a live group's member set (protocol,
-//     replica count, calibration) by a staged swap: freeze all its
-//     slots, drain the scheduler partition, run the revoke agreement,
-//     copy the state into the new incarnation, and resume at the SAME
-//     switch epoch with the sequence space continued (AdoptFrom).
-//   - ReassignDeadSwitch batch-recovers a permanently dead switch's
-//     slot shard from its groups' replica stores — the replicas hold
-//     every committed write — and re-homes the slots on the survivors.
-//
-// Every mutation lands in rack.Topology exactly once and bumps its
-// epoch; the rebalancer, the client load split, and routing all read
-// the new membership through that one indirection.
-
-// Reconfig tracks one in-flight elastic membership operation. The
-// non-blocking Start* forms return it immediately; the operation then
-// advances on simulation timers exactly like an online migration.
-type Reconfig struct {
-	// Kind names the operation: "add", "remove", "respec", "reassign".
-	Kind string
-	// Group is the group the operation targets (for "reassign", the
-	// dead switch's ID instead).
-	Group int
-
-	c    *Cluster
-	done bool
-	err  error
-}
-
-// Done reports whether the operation settled (successfully or not).
-func (r *Reconfig) Done() bool { return r.done }
-
-// Err returns the terminal error of a settled operation (nil on
-// success; meaningless before Done).
-func (r *Reconfig) Err() error { return r.err }
-
-func (r *Reconfig) fail(err error) {
-	if !r.done {
-		r.err = err
-		r.done = true
-	}
-}
-
-func (r *Reconfig) finish() { r.done = true }
-
-// elasticDeadline bounds one elastic operation's blocking drive: the
-// slowest path (evacuate every slot of a group, then run the revoke
-// agreement) is a handful of migration deadlines end to end.
-const elasticDeadline = 4 * migrateDeadline
-
-// driveReconfig runs the simulation until the operation settles,
-// converting a terminal failure (or a wedged drain) into an error.
-func (c *Cluster) driveReconfig(r *Reconfig) error {
-	deadline := c.eng.Now() + sim.Time(elasticDeadline)
-	for !r.done && c.eng.Now() < deadline {
-		if !c.eng.Step() {
-			break
-		}
-	}
-	if !r.done {
-		return fmt.Errorf("cluster: %s of group %d did not complete", r.Kind, r.Group)
-	}
-	return r.err
-}
+// epoch-versioned topology, each composed from the handoff lifecycle
+// (handoff.go). AddGroup seeds a new group through ordinary migrations;
+// RemoveGroup evacuates a group through them and then retires it;
+// RespecGroup runs the full lifecycle on a group's own slots, with the
+// revoke agreement and a member swap as its commit; ReassignDeadSwitch
+// transfers a dead switch's shard from its groups' replica stores and
+// retires them. Every mutation lands in rack.Topology exactly once and
+// bumps its epoch; the rebalancer, the client load split and routing
+// all read the new membership through that one indirection.
 
 // --- AddGroup (scale-out) ---
 
@@ -97,21 +30,14 @@ func (c *Cluster) driveReconfig(r *Reconfig) error {
 // seeded a weight-fair share of the slot space through ordinary
 // online migrations — non-blocking, so scale-out under load costs at
 // most the per-batch freeze windows, never a global pause. The
-// returned Reconfig settles once the seeding migrations finish and
+// returned Op settles once the seeding migrations finish and
 // the group has served its priming write.
-func (c *Cluster) AddGroup(spec GroupSpec) (int, *Reconfig, error) {
+func (c *Cluster) AddGroup(spec GroupSpec) (int, *Op, error) {
 	if len(c.groups) >= MaxGroups {
 		return 0, nil, fmt.Errorf("cluster: group count is already at the maximum %d", MaxGroups)
 	}
-	if c.weightsExplicit && !(spec.Weight > 0) {
-		return 0, nil, fmt.Errorf("cluster: this cluster uses explicit capacity weights; the new group's spec must set one")
-	}
-	if !c.weightsExplicit && spec.Weight > 0 {
-		return 0, nil, fmt.Errorf("cluster: this cluster derives capacity weights from calibration; the new group's spec must not set an explicit one")
-	}
-	c.cfg.resolveSpec(&spec)
-	if spec.Replicas > int(incStride) {
-		return 0, nil, fmt.Errorf("cluster: group size %d exceeds the per-incarnation address window %d", spec.Replicas, incStride)
+	if err := c.resolveRuntimeSpec(&spec); err != nil {
+		return 0, nil, err
 	}
 	sw, err := c.placeGroup()
 	if err != nil {
@@ -126,44 +52,37 @@ func (c *Cluster) AddGroup(spec GroupSpec) (int, *Reconfig, error) {
 	grp.sched = c.newScheduler(g, c.rack.Epoch(sw))
 	c.rack.SetGroup(g, grp.sched)
 	c.buildGroupReplicas(grp)
-	c.replicas = append(c.replicas, grp.replicas...)
 	c.linkGroup(grp)
 	c.ctl.grantGroupLeases(g, c.rack.Epoch(sw))
 	c.startSweep(grp)
 
-	r := &Reconfig{Kind: "add", Group: g, c: c}
-	c.reconfigs = append(c.reconfigs, r)
-	migs := c.seedGroup(g)
-	c.watchMigrations(migs, func() {
-		owns := false
-		for slot := 0; slot < wire.NumSlots; slot++ {
-			if c.rack.RouteOf(slot) == g {
-				owns = true
-				break
-			}
-		}
-		if !owns {
-			r.fail(fmt.Errorf("cluster: seeding group %d moved no slots (sources could not drain)", g))
+	r := c.newOp("add", g)
+	c.afterSettle(c.seedGroup(g), func() {
+		if len(c.slotsOwned(func(o int) bool { return o == g })) == 0 {
+			r.settle(fmt.Errorf("cluster: seeding group %d moved no slots (sources could not drain)", g))
 			return
 		}
 		c.primeGroupAsync(g)
-		r.finish()
+		r.settle(nil)
 	})
 	return g, r, nil
 }
 
-// AddGroupWait is the blocking form of AddGroup: it drives the
-// simulation until the seeding migrations settle and the group is
-// primed.
-func (c *Cluster) AddGroupWait(spec GroupSpec) (int, error) {
-	g, r, err := c.AddGroup(spec)
-	if err != nil {
-		return 0, err
+// resolveRuntimeSpec defaults a spec submitted at runtime by the
+// assembly-time rules, holding it to the boot config's weight scale:
+// explicit ratios and derived absolute service rates cannot mix.
+func (c *Cluster) resolveRuntimeSpec(spec *GroupSpec) error {
+	if c.weightsExplicit && !(spec.Weight > 0) {
+		return fmt.Errorf("cluster: this cluster uses explicit capacity weights; the new spec must set one")
 	}
-	if err := c.driveReconfig(r); err != nil {
-		return g, err
+	if !c.weightsExplicit && spec.Weight > 0 {
+		return fmt.Errorf("cluster: this cluster derives capacity weights from calibration; the new spec must not set an explicit one")
 	}
-	return g, nil
+	c.cfg.resolveSpec(spec)
+	if spec.Replicas > int(incStride) {
+		return fmt.Errorf("cluster: group size %d exceeds the per-incarnation address window %d", spec.Replicas, incStride)
+	}
+	return nil
 }
 
 // placeGroup picks the switch a new group should live on: the alive
@@ -212,7 +131,7 @@ func (c *Cluster) placeGroup() (int, error) {
 // as one non-blocking batch migration per source group. A batch that
 // cannot start (its source grew a conflicting freeze since planning)
 // is simply skipped: the rebalancer evens the share out later.
-func (c *Cluster) seedGroup(g int) []*Migration {
+func (c *Cluster) seedGroup(g int) []*Op {
 	var sample [wire.NumSlots]core.SlotHeat
 	c.rack.SlotHeatInto(sample[:])
 	heat := make([]rebalance.Heat, len(sample))
@@ -221,40 +140,58 @@ func (c *Cluster) seedGroup(g int) []*Migration {
 	}
 	topo := c.rack.Topo()
 	moves := rebalance.PlanSeed(heat, c.rack.SlotTable(), topo.LiveWeights(), topo.LiveMask(), g)
-	var sources []int
-	bySource := make(map[int][]int)
-	for _, mv := range moves {
-		if _, ok := bySource[mv.From]; !ok {
-			sources = append(sources, mv.From)
-		}
-		bySource[mv.From] = append(bySource[mv.From], mv.Slot)
+	slots := make([]int, len(moves))
+	for i, mv := range moves {
+		slots[i] = mv.Slot
 	}
-	var migs []*Migration
-	for _, src := range sources {
-		m, err := c.StartBatchMigration(bySource[src], g)
-		if err != nil {
-			continue
+	var migs []*Op
+	for _, batch := range c.byOwner(slots, g) {
+		if m, err := c.StartBatchMigration(batch, g); err == nil {
+			migs = append(migs, m)
 		}
-		migs = append(migs, m)
 	}
 	return migs
 }
 
-// watchMigrations polls a set of in-flight handoffs and calls onDone
-// once every one of them settled (completed or self-aborted at its
-// drain deadline). An empty set settles immediately on the first poll.
-func (c *Cluster) watchMigrations(migs []*Migration, onDone func()) {
-	var tick func()
-	tick = func() {
-		for _, m := range migs {
-			if !m.done && !m.aborted {
-				c.eng.After(migratePollInterval, tick)
-				return
-			}
+// slotsOwned lists, in slot order, the slots whose owner satisfies by.
+func (c *Cluster) slotsOwned(by func(g int) bool) []int {
+	var out []int
+	for slot := 0; slot < wire.NumSlots; slot++ {
+		if by(c.rack.RouteOf(slot)) {
+			out = append(out, slot)
 		}
-		onDone()
 	}
-	c.eng.After(migratePollInterval, tick)
+	return out
+}
+
+// liveDests lists the live groups behind alive switches, except group
+// skip — the destinations an evacuation may use.
+func (c *Cluster) liveDests(skip int) []int {
+	topo := c.rack.Topo()
+	var dests []int
+	for _, d := range topo.LiveGroups() {
+		if d != skip && !c.net.IsDown(switchAddrOf(topo.SwitchOfGroup(d))) {
+			dests = append(dests, d)
+		}
+	}
+	return dests
+}
+
+// apportion splits slots, in order, into contiguous chunks sized by
+// the destinations' capacity weights (largest remainder): dests[k]
+// takes chunk k.
+func (c *Cluster) apportion(slots, dests []int) [][]int {
+	w := make([]float64, len(dests))
+	for k, d := range dests {
+		w[k] = c.rack.Topo().Weight(d)
+	}
+	chunks := make([][]int, len(dests))
+	start := 0
+	for k, n := range workload.Apportion(len(slots), w) {
+		chunks[k] = slots[start : start+n]
+		start += n
+	}
+	return chunks
 }
 
 // primeGroupAsync issues the new group's priming write once it owns an
@@ -269,7 +206,7 @@ func (c *Cluster) primeGroupAsync(g int) {
 		if !c.rack.Live(g) {
 			return
 		}
-		key, ok := c.keyInGroup(g, fmt.Sprintf("__prime__%d_", g), -1)
+		key, ok := c.keyInGroup(g, fmt.Sprintf("__prime__%d_", g), false)
 		if !ok {
 			if tries++; tries > 1024 {
 				return
@@ -278,11 +215,7 @@ func (c *Cluster) primeGroupAsync(g int) {
 			return
 		}
 		c.flushCtr++
-		pkt := &wire.Packet{
-			Op: wire.OpWrite, ObjID: wire.HashKey(key), Key: key,
-			Group: uint16(g), ClientID: 0, ReqID: 1<<32 + c.flushCtr, Value: []byte{1},
-		}
-		c.net.Send(clientBase, c.switchAddrForObj(pkt.ObjID), pkt)
+		c.controlWrite(g, key, 1<<32+c.flushCtr, 0)
 	}
 	c.eng.After(migratePollInterval, tick)
 }
@@ -292,317 +225,119 @@ func (c *Cluster) primeGroupAsync(g int) {
 // StartRemoveGroup begins retiring group g: its slots are evacuated to
 // the remaining live groups (weight-apportioned, via the ordinary
 // online migrations — each batch carries its share of objects AND the
-// group's at-most-once client table, so a lost-reply retry that lands
-// on a destination after the flip replays instead of re-executing),
-// and once the evacuation completes the §5.3 revoke agreement retires
-// the group: every member acknowledges losing its lease, the
-// scheduler partition is torn down, the topology marks the ID
-// permanently dead (epoch bump), and the member nodes shut down.
-func (c *Cluster) StartRemoveGroup(g int) (*Reconfig, error) {
-	if g < 0 || g >= len(c.groups) {
-		return nil, fmt.Errorf("cluster: group %d out of range", g)
+// group's at-most-once client table), and once the evacuation
+// completes the group retires through the revoke agreement. If some
+// batch could not drain, the group keeps those slots and stays live.
+func (c *Cluster) StartRemoveGroup(g int) (*Op, error) {
+	if err := c.checkLive(g); err != nil {
+		return nil, err
 	}
-	if !c.rack.Live(g) {
-		return nil, fmt.Errorf("cluster: group %d is already retired", g)
-	}
-	topo := c.rack.Topo()
-	var dests []int
-	for _, d := range topo.LiveGroups() {
-		if d != g && !c.net.IsDown(switchAddrOf(topo.SwitchOfGroup(d))) {
-			dests = append(dests, d)
-		}
-	}
+	dests := c.liveDests(g)
 	if len(dests) == 0 {
 		return nil, fmt.Errorf("cluster: no live destination group to evacuate group %d to", g)
 	}
-	var slots []int
-	for slot := 0; slot < wire.NumSlots; slot++ {
-		if c.rack.RouteOf(slot) == g {
-			slots = append(slots, slot)
-		}
-	}
-	r := &Reconfig{Kind: "remove", Group: g, c: c}
-	c.reconfigs = append(c.reconfigs, r)
+	slots := c.slotsOwned(func(o int) bool { return o == g })
+	r := c.newOp("remove", g)
 	if len(slots) == 0 {
-		c.retireGroup(g, r)
+		c.retireGroup(g, func() { r.settle(nil) })
 		return r, nil
 	}
-	// Weight-apportioned contiguous chunks in slot order: destination k
-	// takes share[k] slots. Each chunk is one batch handoff.
-	w := make([]float64, len(dests))
-	for k, d := range dests {
-		w[k] = topo.Weight(d)
-	}
-	share := workload.Apportion(len(slots), w)
-	var migs []*Migration
-	start := 0
-	for k, d := range dests {
-		chunk := slots[start : start+share[k]]
-		start += share[k]
+	var migs []*Op
+	for k, chunk := range c.apportion(slots, dests) {
 		if len(chunk) == 0 {
 			continue
 		}
-		m, err := c.StartBatchMigration(chunk, d)
+		m, err := c.StartBatchMigration(chunk, dests[k])
 		if err != nil {
 			for _, prev := range migs {
 				prev.Abort()
 			}
-			r.fail(err)
+			r.settle(err)
 			return nil, err
 		}
 		migs = append(migs, m)
 	}
-	c.watchMigrations(migs, func() {
+	c.afterSettle(migs, func() {
 		for _, m := range migs {
 			if m.aborted {
-				// The group could not drain some batch: it keeps those
-				// slots and stays live — scale-in failed cleanly.
-				r.fail(fmt.Errorf("cluster: evacuating group %d aborted (%d slot(s) stayed)", g, len(m.Slots)))
+				r.settle(fmt.Errorf("cluster: evacuating group %d aborted (%d slot(s) stayed)", g, len(m.Slots)))
 				return
 			}
 		}
-		c.retireGroup(g, r)
+		c.retireGroup(g, func() { r.settle(nil) })
 	})
 	return r, nil
-}
-
-// RemoveGroup is the blocking form of StartRemoveGroup.
-func (c *Cluster) RemoveGroup(g int) error {
-	r, err := c.StartRemoveGroup(g)
-	if err != nil {
-		return err
-	}
-	return c.driveReconfig(r)
-}
-
-// retireGroup runs the retirement agreement for an evacuated group:
-// the lease chain is cut (generation bump), every member acknowledges
-// revocation of the current epoch's lease — so no member can serve a
-// fast read past this point — and then the group leaves the topology
-// for good.
-func (c *Cluster) retireGroup(g int, r *Reconfig) {
-	grp := c.groups[g]
-	grp.leaseGen++
-	epoch := c.rack.Epoch(c.rack.SwitchOfGroup(g))
-	c.ctl.revokeThen(g, epoch, func() {
-		c.rack.SetGroup(g, nil)
-		grp.sched = nil
-		c.rack.RetireGroup(g)
-		for _, addr := range grp.addrs() {
-			c.net.SetDown(addr, true)
-		}
-		// Any promoted key g held a replica of must stop spreading
-		// there in the same event — g's copies leave with it.
-		c.hotKeysDropGroup(g)
-		r.finish()
-	})
 }
 
 // --- RespecGroup (live membership swap) ---
 
 // StartRespecGroup replaces group g's member set with one built from
 // spec — a different protocol, replica count, or calibration — without
-// moving any of its slots. The swap is staged like a whole-group
-// migration onto itself: freeze every slot, drain the scheduler
-// partition (forced flush writes pass the freeze), run the §5.3
-// revoke agreement over the OLD members, copy the group's objects and
-// client table into the NEW incarnation (fresh addresses in the next
-// incarnation sub-window), and resume at the same switch epoch with
-// the sequence space continued — in-flight sequencing state survives
-// the swap, so the write-order guard never trips.
-func (c *Cluster) StartRespecGroup(g int, spec GroupSpec) (*Reconfig, error) {
-	if g < 0 || g >= len(c.groups) {
-		return nil, fmt.Errorf("cluster: group %d out of range", g)
-	}
-	if !c.rack.Live(g) {
-		return nil, fmt.Errorf("cluster: group %d is retired", g)
+// moving any of its slots: the whole lifecycle runs on the group's own
+// slots. The drain waits for the entire partition (its flush nudges are
+// forced through the freeze), the revoke agreement runs over the OLD
+// members, the transfer copies the objects and client table into the
+// NEW incarnation (fresh addresses in the next incarnation sub-window),
+// and the commit resumes at the same switch epoch with the sequence
+// space continued — in-flight sequencing state survives the swap, so
+// the write-order guard never trips.
+func (c *Cluster) StartRespecGroup(g int, spec GroupSpec) (*Op, error) {
+	if err := c.checkLive(g); err != nil {
+		return nil, err
 	}
 	grp := c.groups[g]
 	if grp.inc+1 >= maxIncarnations {
 		return nil, fmt.Errorf("cluster: group %d exhausted its %d membership incarnations", g, maxIncarnations)
 	}
-	if c.weightsExplicit && !(spec.Weight > 0) {
-		return nil, fmt.Errorf("cluster: this cluster uses explicit capacity weights; the new spec must set one")
+	if err := c.resolveRuntimeSpec(&spec); err != nil {
+		return nil, err
 	}
-	if !c.weightsExplicit && spec.Weight > 0 {
-		return nil, fmt.Errorf("cluster: this cluster derives capacity weights from calibration; the new spec must not set an explicit one")
-	}
-	c.cfg.resolveSpec(&spec)
-	if spec.Replicas > int(incStride) {
-		return nil, fmt.Errorf("cluster: group size %d exceeds the per-incarnation address window %d", spec.Replicas, incStride)
-	}
-	var slots []int
-	for slot := 0; slot < wire.NumSlots; slot++ {
-		if c.rack.RouteOf(slot) == g {
-			if _, busy := c.migrations[slot]; busy || c.rack.Frozen(slot) {
-				return nil, fmt.Errorf("cluster: slot %d of group %d is mid-migration; retry after it settles", slot, g)
-			}
-			slots = append(slots, slot)
+	slots := c.slotsOwned(func(o int) bool { return o == g })
+	for _, slot := range slots {
+		if _, busy := c.held[slot]; busy || c.rack.Frozen(slot) {
+			return nil, fmt.Errorf("cluster: slot %d of group %d is mid-migration; retry after it settles", slot, g)
 		}
 	}
-	for _, s := range slots {
-		c.rack.FreezeSlot(s)
+	r := c.newOp("respec", g)
+	var oldAddrs []simnet.NodeID
+	var oldSched *core.Scheduler
+	h := &handoff{
+		op: r, slots: slots,
+		drain:  &drain{group: g, clear: func(s *core.Scheduler) bool { return s.DirtyCount() == 0 }},
+		revoke: true, group: g,
+		legs: []leg{{from: grp.replicas, slots: slots, to: g}},
+		prepare: func() {
+			// The extract read the OLD members; now build the new
+			// incarnation: fresh addresses, same group ID, same slots.
+			oldAddrs, oldSched = grp.addrs(), grp.sched
+			grp.inc++
+			grp.spec = spec
+			grp.n = spec.Replicas
+			c.cfg.GroupSpecs[g] = spec
+			c.buildGroupReplicas(grp)
+			c.linkGroup(grp)
+		},
 	}
-	r := &Reconfig{Kind: "respec", Group: g, c: c}
-	c.reconfigs = append(c.reconfigs, r)
-	deadline := c.eng.Now() + sim.Time(migrateDeadline)
-	polls := 0
-	var poll func()
-	poll = func() {
-		if c.eng.Now() >= deadline {
-			for _, s := range slots {
-				c.rack.UnfreezeSlot(s)
-			}
-			r.fail(fmt.Errorf("cluster: group %d could not drain for respec", g))
-			return
+	h.commit = func() {
+		next := c.newScheduler(g, h.epoch)
+		next.AdoptFrom(oldSched)
+		c.rack.SetGroup(g, next)
+		grp.sched = next
+		// The respec'd incarnation only received the group's own slots:
+		// promoted-key copies it held as a foreign holder did not
+		// travel, so stop spreading reads to it.
+		c.hotKeysDropGroup(g)
+		c.ctl.grantGroupLeases(g, h.epoch)
+		for _, a := range oldAddrs {
+			c.net.SetDown(a, true)
 		}
-		sched := grp.sched
-		if sched != nil {
-			if sched.DirtyCount() > 0 {
-				sched.SweepStale()
-			}
-			if sched.DirtyCount() == 0 {
-				c.swapMembers(g, spec, slots, r)
-				return
-			}
-			if polls++; polls%migrateFlushEvery == 0 {
-				// Every slot of the group is frozen: the flush is forced
-				// through with wire.FlagFlush.
-				c.flushWrite(g, -1)
-			}
-		}
-		c.eng.After(migratePollInterval, poll)
+		// The weight may have changed with the spec; installing it bumps
+		// the topology epoch either way, announcing the membership
+		// revision to every epoch-keyed consumer.
+		c.rack.SetGroupWeight(g, spec.Weight)
 	}
-	c.eng.After(migratePollInterval, poll)
+	c.run(h)
 	return r, nil
-}
-
-// RespecGroup is the blocking form of StartRespecGroup.
-func (c *Cluster) RespecGroup(g int, spec GroupSpec) error {
-	r, err := c.StartRespecGroup(g, spec)
-	if err != nil {
-		return err
-	}
-	return c.driveReconfig(r)
-}
-
-// swapMembers is the respec commit path, entered once the partition
-// drained: revoke the old members' leases (they ack — the agreement —
-// and can never serve a fast read again), then copy state sideways
-// into the new incarnation and resume.
-func (c *Cluster) swapMembers(g int, spec GroupSpec, slots []int, r *Reconfig) {
-	grp := c.groups[g]
-	sw := c.rack.SwitchOfGroup(g)
-	epoch := c.rack.Epoch(sw)
-	grp.leaseGen++ // cut the old chain before the new grant re-arms it
-	c.ctl.revokeThen(g, epoch, func() {
-		// Extract from the OLD members before they are replaced. After
-		// the drain every committed write of the group is applied; the
-		// max-merge covers a replica that lags in apply.
-		oldReplicas := grp.replicas
-		oldAddrs := grp.addrs()
-		oldSched := grp.sched
-		merged := make(map[wire.ObjectID]store.Object)
-		for _, rep := range oldReplicas {
-			for _, slot := range slots {
-				for id, o := range rep.ExtractSlot(slot) {
-					if cur, ok := merged[id]; !ok || cur.Seq.Less(o.Seq) {
-						merged[id] = o
-					}
-				}
-			}
-		}
-		install := make(map[wire.ObjectID]store.Object, len(merged))
-		for id, o := range merged {
-			install[id] = store.Object{Value: o.Value, Seq: wire.Seq{Epoch: 0, N: o.Seq.N}}
-		}
-		clients := mergeClientTables(oldReplicas, g)
-
-		// New incarnation: fresh addresses, same group ID, same slots.
-		grp.inc++
-		grp.spec = spec
-		grp.n = spec.Replicas
-		c.cfg.GroupSpecs[g] = spec
-		c.buildGroupReplicas(grp)
-		c.linkGroup(grp)
-		c.rebuildReplicaView()
-
-		// One control round trip plus per-object transfer, then resume.
-		delay := 2*c.cfg.LinkLatency + time.Duration(len(install))*migratePerObjectCost
-		c.eng.After(delay, func() {
-			for _, rep := range grp.replicas {
-				rep.InstallSlot(install)
-				rep.MergeClients(clients)
-			}
-			protocol.ReleaseRecords(clients)
-			next := c.newScheduler(g, epoch)
-			next.AdoptFrom(oldSched)
-			c.rack.SetGroup(g, next)
-			grp.sched = next
-			// The respec'd incarnation only received the group's own
-			// slots: promoted-key copies it held as a foreign holder
-			// did not travel, so stop spreading reads to it.
-			c.hotKeysDropGroup(g)
-			c.ctl.grantGroupLeases(g, epoch)
-			for _, a := range oldAddrs {
-				c.net.SetDown(a, true)
-			}
-			for _, s := range slots {
-				c.rack.UnfreezeSlot(s)
-			}
-			// The weight may have changed with the spec; installing it
-			// bumps the topology epoch either way, announcing the
-			// membership revision to every epoch-keyed consumer.
-			c.rack.SetGroupWeight(g, spec.Weight)
-			r.finish()
-		})
-	})
-}
-
-// mergeClientTables merges the at-most-once client tables of a
-// replica set into one overlay for group dst: per client the newest
-// request wins, and kept replies are re-stamped for dst with a zero
-// Seq (so a replay's traversal of the switch cannot masquerade as a
-// write-completion).
-func mergeClientTables(replicas []ReplicaHandle, dst int) map[uint32]protocol.ClientRecord {
-	clients := make(map[uint32]protocol.ClientRecord)
-	for _, r := range replicas {
-		for id, rec := range r.ExportClients() {
-			cur, ok := clients[id]
-			if !ok || rec.ReqID > cur.ReqID || (rec.ReqID == cur.ReqID && cur.Reply == nil && rec.Reply != nil) {
-				if ok && cur.Reply != nil {
-					cur.Reply.Release()
-				}
-				clients[id] = rec
-			} else if rec.Reply != nil {
-				rec.Reply.Release()
-			}
-		}
-	}
-	for id, rec := range clients {
-		if rec.Reply == nil {
-			continue
-		}
-		// Re-stamp on a pooled flight copy owned by the returned record
-		// set (the caller drops it with ReleaseRecords after merging);
-		// the exported reference returns to its table's lifecycle.
-		rep := rec.Reply.FlightClone()
-		rep.Seq = wire.Seq{}
-		rep.Group = uint16(dst)
-		rec.Reply.Release()
-		clients[id] = protocol.ClientRecord{ReqID: rec.ReqID, Reply: rep}
-	}
-	return clients
-}
-
-// rebuildReplicaView refreshes the flattened group-major replica view
-// after a membership swap (retired groups keep their last member set
-// in the view: their counters remain readable for stats sweeps).
-func (c *Cluster) rebuildReplicaView() {
-	c.replicas = c.replicas[:0]
-	for _, grp := range c.groups {
-		c.replicas = append(c.replicas, grp.replicas...)
-	}
 }
 
 // --- ReassignDeadSwitch (disaster recovery) ---
@@ -610,15 +345,13 @@ func (c *Cluster) rebuildReplicaView() {
 // StartReassignDeadSwitch batch-migrates a permanently dead switch's
 // entire slot shard to the surviving switches' live groups. The dead
 // front-end cannot drain — it is gone, along with its scheduler
-// partitions — so this is a recovery transfer, not an online handoff:
-// the victims' replica stores hold every committed write (the
-// replicas are servers, not switch state), a max-merge per slot
-// recovers the newest version of each object, and the victims'
-// at-most-once client tables are merged into EVERY destination so a
-// retry of any lost reply replays wherever its key now routes. The
-// victims then retire through the revoke agreement and the topology
-// epoch moves once per retired group.
-func (c *Cluster) StartReassignDeadSwitch(s int) (*Reconfig, error) {
+// partitions — so this is transfer and commit only: the victims'
+// replica stores hold every committed write (the replicas are servers,
+// not switch state), and the victims' at-most-once client tables are
+// merged into EVERY destination so a retry of any lost reply replays
+// wherever its key now routes. The commit flips the routes and retires
+// the victims; the topology epoch moves once per retired group.
+func (c *Cluster) StartReassignDeadSwitch(s int) (*Op, error) {
 	if s < 0 || s >= c.rack.Switches() {
 		return nil, fmt.Errorf("cluster: switch %d out of range", s)
 	}
@@ -629,14 +362,7 @@ func (c *Cluster) StartReassignDeadSwitch(s int) (*Reconfig, error) {
 	if len(victims) == 0 {
 		return nil, fmt.Errorf("cluster: switch %d hosts no live groups", s)
 	}
-	topo := c.rack.Topo()
-	var dests []int
-	for _, d := range topo.LiveGroups() {
-		dsw := topo.SwitchOfGroup(d)
-		if dsw != s && !c.net.IsDown(switchAddrOf(dsw)) {
-			dests = append(dests, d)
-		}
-	}
+	dests := c.liveDests(-1)
 	if len(dests) == 0 {
 		return nil, fmt.Errorf("cluster: no surviving live group to reassign switch %d's slots to", s)
 	}
@@ -644,102 +370,38 @@ func (c *Cluster) StartReassignDeadSwitch(s int) (*Reconfig, error) {
 	for _, v := range victims {
 		victim[v] = true
 	}
-	var slots []int
-	for slot := 0; slot < wire.NumSlots; slot++ {
-		if victim[c.rack.RouteOf(slot)] {
-			slots = append(slots, slot)
-		}
-	}
-	r := &Reconfig{Kind: "reassign", Group: s, c: c}
-	c.reconfigs = append(c.reconfigs, r)
-
-	// Recover each stranded slot's objects from its owning group's
-	// replicas (max-merge: all replicas are alive — the switch died,
-	// not the servers — and the merge covers apply lag).
-	bySlot := make(map[int]map[wire.ObjectID]store.Object, len(slots))
-	total := 0
-	for _, slot := range slots {
-		merged := make(map[wire.ObjectID]store.Object)
-		for _, rep := range c.groups[c.rack.RouteOf(slot)].replicas {
-			for id, o := range rep.ExtractSlot(slot) {
-				if cur, ok := merged[id]; !ok || cur.Seq.Less(o.Seq) {
-					merged[id] = o
+	chunks := c.apportion(c.slotsOwned(func(o int) bool { return victim[o] }), dests)
+	// One leg per (destination, victim): the destination's chunk of the
+	// victim's slots, plus the victim's client table.
+	var legs []leg
+	for k, d := range dests {
+		for _, v := range victims {
+			var own []int
+			for _, slot := range chunks[k] {
+				if c.rack.RouteOf(slot) == v {
+					own = append(own, slot)
 				}
 			}
+			legs = append(legs, leg{from: c.groups[v].replicas, slots: own, to: d})
 		}
-		install := make(map[wire.ObjectID]store.Object, len(merged))
-		for id, o := range merged {
-			install[id] = store.Object{Value: o.Value, Seq: wire.Seq{Epoch: 0, N: o.Seq.N}}
-		}
-		bySlot[slot] = install
-		total += len(install)
 	}
-
-	// Weight-apportioned contiguous chunks in slot order, one
-	// destination per chunk; client tables go to every destination.
-	w := make([]float64, len(dests))
-	for k, d := range dests {
-		w[k] = topo.Weight(d)
-	}
-	share := workload.Apportion(len(slots), w)
-	destOf := make(map[int]int, len(slots))
-	start := 0
-	for k, d := range dests {
-		for _, slot := range slots[start : start+share[k]] {
-			destOf[slot] = d
-		}
-		start += share[k]
-	}
-
-	delay := 2*c.cfg.LinkLatency + time.Duration(total)*migratePerObjectCost
-	c.eng.After(delay, func() {
-		for _, slot := range slots {
-			d := destOf[slot]
-			for _, rep := range c.groups[d].replicas {
-				rep.InstallSlot(bySlot[slot])
+	r := c.newOp("reassign", s)
+	c.run(&handoff{legs: legs, commit: func() {
+		for k, d := range dests {
+			for _, slot := range chunks[k] {
+				// SetRoute transfers front-end ownership off the dead
+				// switch; the destination picks the slot up thawed.
+				c.rack.SetRoute(slot, d)
 			}
-		}
-		for _, d := range dests {
-			for _, v := range victims {
-				clients := mergeClientTables(c.groups[v].replicas, d)
-				for _, rep := range c.groups[d].replicas {
-					rep.MergeClients(clients)
-				}
-				protocol.ReleaseRecords(clients)
-			}
-		}
-		for _, slot := range slots {
-			// SetRoute transfers front-end ownership off the dead
-			// switch; the destination picks the slot up thawed.
-			c.rack.SetRoute(slot, destOf[slot])
 		}
 		remaining := len(victims)
 		for _, v := range victims {
-			vr := v
-			grp := c.groups[vr]
-			grp.leaseGen++
-			c.ctl.revokeThen(vr, c.rack.Epoch(s), func() {
-				c.rack.SetGroup(vr, nil)
-				grp.sched = nil
-				c.rack.RetireGroup(vr)
-				for _, addr := range grp.addrs() {
-					c.net.SetDown(addr, true)
-				}
-				c.hotKeysDropGroup(vr)
+			c.retireGroup(v, func() {
 				if remaining--; remaining == 0 {
-					r.finish()
+					r.settle(nil)
 				}
 			})
 		}
-	})
+	}})
 	return r, nil
-}
-
-// ReassignDeadSwitch is the blocking form of StartReassignDeadSwitch.
-func (c *Cluster) ReassignDeadSwitch(s int) error {
-	r, err := c.StartReassignDeadSwitch(s)
-	if err != nil {
-		return err
-	}
-	return c.driveReconfig(r)
 }

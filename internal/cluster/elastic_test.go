@@ -23,15 +23,6 @@ func liveSlotCounts(t *testing.T, c *Cluster) []int {
 	return counts
 }
 
-func assertNothingFrozen(t *testing.T, c *Cluster) {
-	t.Helper()
-	for slot := 0; slot < wire.NumSlots; slot++ {
-		if c.rack.Frozen(slot) {
-			t.Fatalf("slot %d left frozen", slot)
-		}
-	}
-}
-
 // TestElasticAddGroupSeedsAndServes scales a uniform cluster out by
 // one group: the new group must receive a weight-fair slot share
 // without stranding any slot or emptying any donor, and must serve
@@ -46,9 +37,9 @@ func TestElasticAddGroupSeedsAndServes(t *testing.T) {
 		}
 	}
 	epoch0 := c.rack.TopoEpoch()
-	g, err := c.AddGroupWait(GroupSpec{Protocol: Chain})
+	g, err := c.addGroup(GroupSpec{Protocol: Chain})
 	if err != nil {
-		t.Fatalf("AddGroupWait: %v", err)
+		t.Fatalf("AddGroup: %v", err)
 	}
 	if g != 4 || c.Groups() != 5 || !c.rack.Live(g) {
 		t.Fatalf("g=%d groups=%d live=%v", g, c.Groups(), c.rack.Live(g))
@@ -66,7 +57,7 @@ func TestElasticAddGroupSeedsAndServes(t *testing.T) {
 	if counts[g] < wire.NumSlots/5-8 {
 		t.Fatalf("new group seeded only %d slots: %v", counts[g], counts)
 	}
-	assertNothingFrozen(t, c)
+	assertSettled(t, c)
 	// Existing data survived the handoffs, and keys now routed to the
 	// new group serve reads and writes through it.
 	served := false
@@ -102,7 +93,7 @@ func TestElasticAddGroupWeightScaleRules(t *testing.T) {
 	if _, _, err := ec.AddGroup(GroupSpec{Protocol: Chain, Replicas: 3}); err == nil {
 		t.Fatal("explicit-weight cluster accepted a derived weight")
 	}
-	if _, err := ec.AddGroupWait(GroupSpec{Protocol: Chain, Replicas: 3, Weight: 1.5}); err != nil {
+	if _, err := ec.addGroup(GroupSpec{Protocol: Chain, Replicas: 3, Weight: 1.5}); err != nil {
 		t.Fatalf("explicit-weight AddGroup: %v", err)
 	}
 }
@@ -119,7 +110,7 @@ func TestElasticRemoveGroupRetiresAndServes(t *testing.T) {
 			t.Fatalf("Set: %v", err)
 		}
 	}
-	if err := c.RemoveGroup(1); err != nil {
+	if err := c.await(c.StartRemoveGroup(1)); err != nil {
 		t.Fatalf("RemoveGroup: %v", err)
 	}
 	if c.rack.Live(1) {
@@ -129,7 +120,7 @@ func TestElasticRemoveGroupRetiresAndServes(t *testing.T) {
 	if counts[1] != 0 {
 		t.Fatalf("retired group still owns %d slots", counts[1])
 	}
-	assertNothingFrozen(t, c)
+	assertSettled(t, c)
 	for i := 0; i < c.groups[1].n; i++ {
 		if !c.net.IsDown(c.groupAddr(1, i)) {
 			t.Fatalf("retired member %d still up", i)
@@ -145,7 +136,7 @@ func TestElasticRemoveGroupRetiresAndServes(t *testing.T) {
 		}
 	}
 	// The retired ID is permanently dead.
-	if err := c.RemoveGroup(1); err == nil {
+	if err := c.await(c.StartRemoveGroup(1)); err == nil {
 		t.Fatal("double retirement accepted")
 	}
 	if err := c.CrashReplicaIn(1, 0); err == nil {
@@ -155,10 +146,10 @@ func TestElasticRemoveGroupRetiresAndServes(t *testing.T) {
 		t.Fatal("respec of retired group accepted")
 	}
 	// Scale-in to a single group, then reject removing the last one.
-	if err := c.RemoveGroup(2); err != nil {
+	if err := c.await(c.StartRemoveGroup(2)); err != nil {
 		t.Fatalf("RemoveGroup(2): %v", err)
 	}
-	if err := c.RemoveGroup(0); err == nil {
+	if err := c.await(c.StartRemoveGroup(0)); err == nil {
 		t.Fatal("removing the last live group accepted")
 	}
 }
@@ -202,7 +193,7 @@ func TestElasticRemoveGroupClientTableTravels(t *testing.T) {
 			t.Fatalf("seed %d: group 1 still live", seed)
 		}
 		liveSlotCounts(t, c)
-		assertNothingFrozen(t, c)
+		assertSettled(t, c)
 		for g := 0; g < c.Groups(); g++ {
 			res := c.CheckLinearizabilityGroup(g)
 			if !res.Decided {
@@ -229,7 +220,7 @@ func TestElasticRespecGroupSwapsMembers(t *testing.T) {
 	}
 	oldAddrs := c.groups[1].addrs()
 	slots0 := liveSlotCounts(t, c)
-	if err := c.RespecGroup(1, GroupSpec{Protocol: VR, Replicas: 5}); err != nil {
+	if err := c.await(c.StartRespecGroup(1, GroupSpec{Protocol: VR, Replicas: 5})); err != nil {
 		t.Fatalf("RespecGroup: %v", err)
 	}
 	grp := c.groups[1]
@@ -249,7 +240,7 @@ func TestElasticRespecGroupSwapsMembers(t *testing.T) {
 	if slots1[1] != slots0[1] {
 		t.Fatalf("respec moved slots: %v -> %v", slots0, slots1)
 	}
-	assertNothingFrozen(t, c)
+	assertSettled(t, c)
 	// Data survived into the new member set; reads and writes flow.
 	for i := 0; i < 48; i++ {
 		v, ok, err := cl.Get(keyName(i))
@@ -261,7 +252,7 @@ func TestElasticRespecGroupSwapsMembers(t *testing.T) {
 		}
 	}
 	// A second respec lands in the next incarnation sub-window.
-	if err := c.RespecGroup(1, GroupSpec{Protocol: Chain, Replicas: 3}); err != nil {
+	if err := c.await(c.StartRespecGroup(1, GroupSpec{Protocol: Chain, Replicas: 3})); err != nil {
 		t.Fatalf("second respec: %v", err)
 	}
 	if c.groups[1].inc != 2 {
@@ -285,13 +276,13 @@ func TestElasticReassignDeadSwitchRestoresCoverage(t *testing.T) {
 			t.Fatalf("Set: %v", err)
 		}
 	}
-	if err := c.ReassignDeadSwitch(1); err == nil {
+	if err := c.await(c.StartReassignDeadSwitch(1)); err == nil {
 		t.Fatal("reassign of an alive switch accepted")
 	}
 	if err := c.CrashSwitch(1); err != nil {
 		t.Fatalf("CrashSwitch: %v", err)
 	}
-	if err := c.ReassignDeadSwitch(1); err != nil {
+	if err := c.await(c.StartReassignDeadSwitch(1)); err != nil {
 		t.Fatalf("ReassignDeadSwitch: %v", err)
 	}
 	for slot := 0; slot < wire.NumSlots; slot++ {
@@ -306,7 +297,7 @@ func TestElasticReassignDeadSwitchRestoresCoverage(t *testing.T) {
 	if counts[0] == 0 || counts[1] == 0 {
 		t.Fatalf("survivors own %v slots", counts)
 	}
-	assertNothingFrozen(t, c)
+	assertSettled(t, c)
 	// Every committed write recovered from the victims' stores.
 	for i := 0; i < 96; i++ {
 		v, ok, err := cl.Get(keyName(i))
@@ -413,14 +404,14 @@ func elasticChaosCase(t *testing.T, op, chaos string) {
 	if r == nil {
 		t.Fatal("reconfiguration never started")
 	}
-	if !r.Done() {
-		t.Fatalf("%s reconfiguration stuck", op)
-	}
 	if r.Err() != nil {
 		t.Fatalf("%s reconfiguration failed: %v", op, r.Err())
 	}
+	if !r.Done() {
+		t.Fatalf("%s reconfiguration stuck", op)
+	}
 	counts := liveSlotCounts(t, c)
-	assertNothingFrozen(t, c)
+	assertSettled(t, c)
 	switch op {
 	case "add":
 		if !c.rack.Live(3) || counts[3] == 0 {
@@ -460,8 +451,8 @@ var routeSink int
 // loads, 0 allocs/op, even after elastic membership changes.
 func TestElasticTopologyRouteLookupAllocFree(t *testing.T) {
 	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Groups: 4, Seed: 7})
-	if _, err := c.AddGroupWait(GroupSpec{Protocol: Chain}); err != nil {
-		t.Fatalf("AddGroupWait: %v", err)
+	if _, err := c.addGroup(GroupSpec{Protocol: Chain}); err != nil {
+		t.Fatalf("AddGroup: %v", err)
 	}
 	topo := c.rack.Topo()
 	id := wire.HashKey("hot-key")

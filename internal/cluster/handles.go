@@ -2,57 +2,38 @@ package cluster
 
 import (
 	"harmonia/internal/protocol"
-	"harmonia/internal/protocol/chain"
 	"harmonia/internal/protocol/craq"
-	"harmonia/internal/protocol/nopaxos"
-	"harmonia/internal/protocol/pb"
-	"harmonia/internal/protocol/vr"
-	"harmonia/internal/simnet"
 	"harmonia/internal/store"
 	"harmonia/internal/wire"
 )
 
-// The handle adapters give the cluster a uniform view of the five
-// replica types: message delivery, the preload hook used to warm the
-// key space without driving millions of protocol writes, and the
-// slot-scoped extract/install/drop operations the migration controller
-// uses for a group handoff.
+// The handle adapters give the cluster a uniform view of the replicas'
+// state: the preload hook used to warm the key space without driving
+// millions of protocol writes, and the slot-scoped extract/install/drop
+// operations and client tables a handoff transfers.
 
-type pbHandle struct{ r *pb.Replica }
+// baseHandle adapts the store-backed protocols (PB, chain replication,
+// VR, NOPaxos), which all keep their objects and client table in
+// protocol.Base.
+type baseHandle struct{ b *protocol.Base }
 
-func (h pbHandle) Recv(from simnet.NodeID, msg simnet.Message) { h.r.Recv(from, msg) }
-func (h pbHandle) Preload(id wire.ObjectID, value []byte, seq wire.Seq) {
-	h.r.Store.Seed(id, value, seq)
+func (h baseHandle) Preload(id wire.ObjectID, value []byte, seq wire.Seq) {
+	h.b.Store.Seed(id, value, seq)
 }
-func (h pbHandle) ExtractSlot(slot int) map[wire.ObjectID]store.Object {
-	return h.r.Store.ExtractSlot(slot)
+func (h baseHandle) ExtractSlot(slot int) map[wire.ObjectID]store.Object {
+	return h.b.Store.ExtractSlot(slot)
 }
-func (h pbHandle) InstallSlot(objs map[wire.ObjectID]store.Object)    { h.r.Store.InstallSlot(objs) }
-func (h pbHandle) DropSlot(slot int) int                              { return h.r.Store.DropSlot(slot) }
-func (h pbHandle) ExportClients() map[uint32]protocol.ClientRecord    { return h.r.CT.Export() }
-func (h pbHandle) MergeClients(recs map[uint32]protocol.ClientRecord) { h.r.CT.Merge(recs) }
-func (h pbHandle) SlotCounts() []int                                  { return h.r.Store.SlotCounts() }
-func (h pbHandle) GetObject(id wire.ObjectID) (store.Object, bool)    { return h.r.Store.Get(id) }
+func (h baseHandle) InstallSlot(objs map[wire.ObjectID]store.Object)    { h.b.Store.InstallSlot(objs) }
+func (h baseHandle) DropSlot(slot int) int                              { return h.b.Store.DropSlot(slot) }
+func (h baseHandle) ExportClients() map[uint32]protocol.ClientRecord    { return h.b.CT.Export() }
+func (h baseHandle) MergeClients(recs map[uint32]protocol.ClientRecord) { h.b.CT.Merge(recs) }
+func (h baseHandle) SlotCounts() []int                                  { return h.b.Store.SlotCounts() }
+func (h baseHandle) GetObject(id wire.ObjectID) (store.Object, bool)    { return h.b.Store.Get(id) }
 
-type chainHandle struct{ r *chain.Replica }
-
-func (h chainHandle) Recv(from simnet.NodeID, msg simnet.Message) { h.r.Recv(from, msg) }
-func (h chainHandle) Preload(id wire.ObjectID, value []byte, seq wire.Seq) {
-	h.r.Store.Seed(id, value, seq)
-}
-func (h chainHandle) ExtractSlot(slot int) map[wire.ObjectID]store.Object {
-	return h.r.Store.ExtractSlot(slot)
-}
-func (h chainHandle) InstallSlot(objs map[wire.ObjectID]store.Object)    { h.r.Store.InstallSlot(objs) }
-func (h chainHandle) DropSlot(slot int) int                              { return h.r.Store.DropSlot(slot) }
-func (h chainHandle) ExportClients() map[uint32]protocol.ClientRecord    { return h.r.CT.Export() }
-func (h chainHandle) MergeClients(recs map[uint32]protocol.ClientRecord) { h.r.CT.Merge(recs) }
-func (h chainHandle) SlotCounts() []int                                  { return h.r.Store.SlotCounts() }
-func (h chainHandle) GetObject(id wire.ObjectID) (store.Object, bool)    { return h.r.Store.Get(id) }
-
+// craqHandle adapts CRAQ, which keeps explicit clean/dirty version
+// chains instead of a store.
 type craqHandle struct{ r *craq.Replica }
 
-func (h craqHandle) Recv(from simnet.NodeID, msg simnet.Message) { h.r.Recv(from, msg) }
 func (h craqHandle) Preload(id wire.ObjectID, value []byte, seq wire.Seq) {
 	h.r.PreloadClean(id, value, 0)
 }
@@ -80,44 +61,11 @@ func (h craqHandle) MergeClients(recs map[uint32]protocol.ClientRecord) {
 }
 func (h craqHandle) SlotCounts() []int { return h.r.SlotCounts() }
 func (h craqHandle) GetObject(id wire.ObjectID) (store.Object, bool) {
-	// CRAQ keeps explicit clean/dirty version chains rather than a
-	// store; read the newest COMMITTED version through the same
-	// slot-scoped view the migration drain uses.
+	// The newest COMMITTED version, through the same slot-scoped view
+	// a handoff's extract uses.
 	o, ok := h.r.ExtractSlotClean(wire.SlotOf(id))[id]
 	if !ok {
 		return store.Object{}, false
 	}
 	return store.Object{Value: o.Value, Seq: wire.Seq{N: o.N}}, true
 }
-
-type vrHandle struct{ r *vr.Replica }
-
-func (h vrHandle) Recv(from simnet.NodeID, msg simnet.Message) { h.r.Recv(from, msg) }
-func (h vrHandle) Preload(id wire.ObjectID, value []byte, seq wire.Seq) {
-	h.r.Store.Seed(id, value, seq)
-}
-func (h vrHandle) ExtractSlot(slot int) map[wire.ObjectID]store.Object {
-	return h.r.Store.ExtractSlot(slot)
-}
-func (h vrHandle) InstallSlot(objs map[wire.ObjectID]store.Object)    { h.r.Store.InstallSlot(objs) }
-func (h vrHandle) DropSlot(slot int) int                              { return h.r.Store.DropSlot(slot) }
-func (h vrHandle) ExportClients() map[uint32]protocol.ClientRecord    { return h.r.CT.Export() }
-func (h vrHandle) MergeClients(recs map[uint32]protocol.ClientRecord) { h.r.CT.Merge(recs) }
-func (h vrHandle) SlotCounts() []int                                  { return h.r.Store.SlotCounts() }
-func (h vrHandle) GetObject(id wire.ObjectID) (store.Object, bool)    { return h.r.Store.Get(id) }
-
-type nopaxosHandle struct{ r *nopaxos.Replica }
-
-func (h nopaxosHandle) Recv(from simnet.NodeID, msg simnet.Message) { h.r.Recv(from, msg) }
-func (h nopaxosHandle) Preload(id wire.ObjectID, value []byte, seq wire.Seq) {
-	h.r.Store.Seed(id, value, seq)
-}
-func (h nopaxosHandle) ExtractSlot(slot int) map[wire.ObjectID]store.Object {
-	return h.r.Store.ExtractSlot(slot)
-}
-func (h nopaxosHandle) InstallSlot(objs map[wire.ObjectID]store.Object)    { h.r.Store.InstallSlot(objs) }
-func (h nopaxosHandle) DropSlot(slot int) int                              { return h.r.Store.DropSlot(slot) }
-func (h nopaxosHandle) ExportClients() map[uint32]protocol.ClientRecord    { return h.r.CT.Export() }
-func (h nopaxosHandle) MergeClients(recs map[uint32]protocol.ClientRecord) { h.r.CT.Merge(recs) }
-func (h nopaxosHandle) SlotCounts() []int                                  { return h.r.Store.SlotCounts() }
-func (h nopaxosHandle) GetObject(id wire.ObjectID) (store.Object, bool)    { return h.r.Store.Get(id) }

@@ -4,10 +4,7 @@ package cluster
 // spreads. The rebalancer's escape signal (a fired-but-empty tick, see
 // rebalance.LastStuck) nominates the stuck slot's dominant key; the
 // manager promotes it onto 2–4 holder groups of the same switch
-// domain, seeds their copies from the home group with the migration
-// machinery's neutered-sequence trick (epoch-0 objects pass the §7
-// read checks at every replica, exactly like a migrated slot), and
-// from then on:
+// domain, and from then on:
 //
 //   - the switch round-robins the key's clean reads across home +
 //     holders (frontend.pickHolder) — but only while the entry's
@@ -17,32 +14,33 @@ package cluster
 //     as the broadcast point) and the key's reads serialize at the
 //     home group, through its dirty set, until a refresh catches up;
 //   - when the write's completion traverses the switch, the front-end
-//     cues refreshHot (SetHotWriteHook), which copies the newest
-//     committed value to the holders and validates the entry with the
-//     write generation it captured — a refresh that lost a race to a
-//     newer write fails validation and is simply retried;
+//     cues refreshHot (SetHotWriteHook): a handoff of one key with
+//     nothing to freeze — drain the key, transfer its newest committed
+//     value to the holders, and commit by validating the entry with
+//     the write generation captured at the start. A refresh that lost
+//     a race to a newer write fails validation and is simply retried;
 //   - the periodic tick is the retry backstop (the refresh completion
-//     travels the lossy controller→switch path) and the demotion
-//     clock: a key whose decayed per-key heat stays at or below
-//     CoolOps for CoolRounds consecutive ticks is demoted and its
-//     foreign-slot copies dropped.
+//     travels the lossy controller→switch path, and a drain blocked on
+//     a stray is re-checked there) and the demotion clock: a key whose
+//     decayed per-key heat stays at or below CoolOps for CoolRounds
+//     consecutive ticks is demoted and its foreign-slot copies dropped.
 //
 // Linearizability: a holder serves a read only when the entry is valid
 // at the switch. Valid means the holders hold the newest COMMITTED
 // value and no later write has traversed the switch (any such write
 // would have flipped the bitmap in that same traversal, before its
-// data packet could reach a replica). The refresh itself only runs
-// when the home partition's dirty set has no entry for the key —
-// the same committed-everywhere barrier the migration drain uses —
-// so the value it installs really is the newest sequenced write.
+// data packet could reach a replica). The refresh transfers only once
+// its drain finds no entry for the key in the home partition's dirty
+// set — the committed-everywhere barrier every handoff drains to — so
+// the value it installs really is the newest sequenced write.
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"harmonia/internal/core"
 	"harmonia/internal/rebalance"
-	"harmonia/internal/store"
 	"harmonia/internal/trace"
 	"harmonia/internal/wire"
 )
@@ -57,8 +55,9 @@ type hotKeyEntry struct {
 	sw      int   // switch domain the key was promoted on
 	holders []int // holder groups (global indices), home excluded
 
-	cool       int  // consecutive cold ticks toward demotion
-	refreshing bool // a refresh copy is in flight
+	cool       int   // consecutive cold ticks toward demotion
+	refreshing bool  // a refresh copy is in flight
+	drain      drain // the refresh's drain of the key
 }
 
 // startHotKeys arms the hot-key manager: the per-front write hooks
@@ -119,26 +118,21 @@ func (c *Cluster) maybePromoteHot(s int, policy *rebalance.Policy, front *core.F
 			return
 		}
 	}
-	home := c.rack.RouteOf(slot)
+	if holders := c.pickHolders(c.rack.RouteOf(slot), s); len(holders) > 0 {
+		c.promoteObject(id, slot, s, holders)
+	}
+}
+
+// pickHolders runs the policy's capacity-weighted holder choice for a
+// key homed on group home of switch sw. Holders must live behind the
+// SAME front-end: a spread read is handed to the holder's scheduler
+// partition in the home switch's traversal, and partitions are hosted
+// only on their owning switch.
+func (c *Cluster) pickHolders(home, sw int) []int {
 	topo := c.rack.Topo()
-	groups := c.rack.Groups()
-	weights := make([]float64, groups)
-	for g := 0; g < groups; g++ {
-		if topo.Live(g) {
-			weights[g] = topo.Weight(g)
-		}
-	}
-	// Holders must live behind the SAME front-end: a spread read is
-	// handed to the holder's scheduler partition in the home switch's
-	// traversal, and partitions are hosted only on their owning switch.
-	live := func(g int) bool {
-		return topo.Live(g) && topo.SwitchOfGroup(g) == s
-	}
-	holders := c.hotKeyCfg.PickHolders(home, groups, weights, live)
-	if len(holders) == 0 {
-		return
-	}
-	c.promoteObject(id, slot, s, holders)
+	return c.hotKeyCfg.PickHolders(home, topo.Groups(), topo.LiveWeights(), func(g int) bool {
+		return topo.Live(g) && topo.SwitchOfGroup(g) == sw
+	})
 }
 
 // promoteObject installs a hot-key table entry (all holders invalid,
@@ -147,6 +141,7 @@ func (c *Cluster) maybePromoteHot(s int, policy *rebalance.Policy, front *core.F
 func (c *Cluster) promoteObject(id wire.ObjectID, slot, sw int, holders []int) {
 	c.rack.Front(sw).Promote(id, holders)
 	st := &hotKeyEntry{id: id, slot: slot, sw: sw, holders: append([]int(nil), holders...)}
+	st.drain.clear = func(s *core.Scheduler) bool { return !s.DirtyKey(id) }
 	c.hotKeys[id] = st
 	c.hotKeyOrder = append(c.hotKeyOrder, id)
 	c.hotKeyPromotions++
@@ -170,64 +165,46 @@ func (c *Cluster) refreshHot(st *hotKeyEntry) {
 		return // demoted at the switch; the tick reconciles
 	}
 	home := c.rack.RouteOf(st.slot)
-	// Commit barrier: a standing dirty-set entry means a write was
-	// sequenced whose value may not be applied anywhere yet — a
-	// refresh now could validate generation N while carrying N−1's
-	// value. Wait for the completion (whose traversal re-cues us).
-	if sched := front.Group(home); sched != nil && sched.DirtyKey(st.id) {
+	// Drain the key: a standing dirty-set entry means a write was
+	// sequenced whose value may not be applied anywhere yet — a refresh
+	// now could validate generation N while carrying N−1's value. The
+	// write's completion re-cues us; a stray whose completion was lost
+	// is swept or nudged past by the drain over the following ticks.
+	st.drain.group = home
+	if sched := front.Group(home); sched != nil && !c.drainCheck(&st.drain, sched) {
 		return
 	}
-	var best store.Object
-	found := false
+	m := make(newest)
 	for i, rep := range c.groups[home].replicas {
 		if c.net.IsDown(c.groupAddr(home, i)) {
 			continue
 		}
 		if o, ok := rep.GetObject(st.id); ok {
-			if !found || best.Seq.Less(o.Seq) {
-				best, found = o, true
-			}
+			m.keep(st.id, o)
 		}
 	}
-	if !found {
+	if len(m) == 0 {
 		return // never written: holders stay invalid, reads stay home
 	}
 	st.refreshing = true
-	val := append([]byte(nil), best.Value...)
-	seqN := best.Seq.N
-	// One control round trip plus the single-object transfer cost —
-	// the same model as the migration copy, for one key.
-	delay := 2*c.cfg.LinkLatency + migratePerObjectCost
-	c.eng.After(delay, func() {
+	install := m.neutered()
+	c.transfer([]leg{{objs: install}}, func() {
 		st.refreshing = false
 		if c.hotKeys[st.id] != st {
 			return // demoted while the copy was in flight
 		}
-		// Epoch-0 sequence neutering, exactly like a migrated object:
-		// the holder's write-order guard is untouched and its replicas'
-		// §7 fast-read checks pass.
-		install := map[wire.ObjectID]store.Object{
-			st.id: {Value: val, Seq: wire.Seq{Epoch: 0, N: seqN}},
-		}
-		curHome := c.rack.RouteOf(st.slot)
-		for _, g := range st.holders {
-			if g == curHome || !c.rack.Live(g) {
-				continue
-			}
-			for _, rep := range c.groups[g].replicas {
-				rep.InstallSlot(install)
-			}
-		}
-		// The refresh completion travels the real (lossy) network to
-		// the switch; its Seq carries the captured write generation,
-		// and the front-end consumes it without touching a scheduler.
-		// If it drops, the entry stays invalid and the tick retries.
+		c.eachHolderReplica(st, func(r ReplicaHandle) { r.InstallSlot(install) })
+		// The commit: the refresh completion travels the real (lossy)
+		// network to the switch; its Seq carries the captured write
+		// generation, and the front-end consumes it without touching a
+		// scheduler. If it drops, the entry stays invalid and the tick
+		// retries.
 		c.net.Send(controllerAddr, switchAddrOf(st.sw), &wire.Packet{
 			Op: wire.OpWriteCompletion, Flags: wire.FlagRefresh,
 			ObjID: st.id, Seq: wire.Seq{N: gen},
 		})
 		c.rec.Emit(trace.Event{
-			Kind: trace.EvHotRefresh, Switch: int16(st.sw), Group: int16(curHome),
+			Kind: trace.EvHotRefresh, Switch: int16(st.sw), Group: int16(c.rack.RouteOf(st.slot)),
 			Slot: int16(st.slot), Arg: uint64(st.id), Arg2: gen,
 		})
 		// A write sequenced while this copy was in flight makes the
@@ -290,27 +267,30 @@ func (c *Cluster) demoteObject(st *hotKeyEntry) {
 		return
 	}
 	c.rack.Front(st.sw).Demote(st.id)
-	home := c.rack.RouteOf(st.slot)
-	for _, g := range st.holders {
-		if g == home || !c.rack.Live(g) {
-			continue
-		}
-		for _, rep := range c.groups[g].replicas {
-			rep.DropSlot(st.slot)
-		}
-	}
+	c.eachHolderReplica(st, func(r ReplicaHandle) { r.DropSlot(st.slot) })
 	delete(c.hotKeys, st.id)
-	for i, id := range c.hotKeyOrder {
-		if id == st.id {
-			c.hotKeyOrder = append(c.hotKeyOrder[:i], c.hotKeyOrder[i+1:]...)
-			break
-		}
+	if i := slices.Index(c.hotKeyOrder, st.id); i >= 0 {
+		c.hotKeyOrder = slices.Delete(c.hotKeyOrder, i, i+1)
 	}
 	c.hotKeyDemotions++
 	c.rec.Emit(trace.Event{
-		Kind: trace.EvHotDemote, Switch: int16(st.sw), Group: int16(home),
+		Kind: trace.EvHotDemote, Switch: int16(st.sw), Group: int16(c.rack.RouteOf(st.slot)),
 		Slot: int16(st.slot), Arg: uint64(st.id),
 	})
+}
+
+// eachHolderReplica calls fn on every replica of st's live holder
+// groups other than the key's current home (a migration may have moved
+// the home slot into a holder).
+func (c *Cluster) eachHolderReplica(st *hotKeyEntry, fn func(ReplicaHandle)) {
+	home := c.rack.RouteOf(st.slot)
+	for _, g := range st.holders {
+		if g != home && c.rack.Live(g) {
+			for _, r := range c.groups[g].replicas {
+				fn(r)
+			}
+		}
+	}
 }
 
 // hotKeysDropGroup reacts to group g's store being replaced or retired
@@ -334,22 +314,11 @@ func (c *Cluster) hotKeysDropGroup(g int) {
 			c.demoteObject(st)
 			continue
 		}
-		for _, h := range st.holders {
-			if h != g {
-				continue
-			}
-			left := c.rack.Front(st.sw).RemoveHolder(id, g)
-			out := st.holders[:0]
-			for _, x := range st.holders {
-				if x != g {
-					out = append(out, x)
-				}
-			}
-			st.holders = out
-			if left == 0 {
+		if i := slices.Index(st.holders, g); i >= 0 {
+			st.holders = slices.Delete(st.holders, i, i+1)
+			if c.rack.Front(st.sw).RemoveHolder(id, g) == 0 {
 				c.demoteObject(st)
 			}
-			break
 		}
 	}
 }
@@ -375,17 +344,7 @@ func (c *Cluster) PromoteKey(key string, holders ...int) error {
 		}
 	}
 	if len(holders) == 0 {
-		groups := c.rack.Groups()
-		weights := make([]float64, groups)
-		for g := 0; g < groups; g++ {
-			if topo.Live(g) {
-				weights[g] = topo.Weight(g)
-			}
-		}
-		holders = c.hotKeyCfg.PickHolders(home, groups, weights, func(g int) bool {
-			return topo.Live(g) && topo.SwitchOfGroup(g) == sw
-		})
-		if len(holders) == 0 {
+		if holders = c.pickHolders(home, sw); len(holders) == 0 {
 			return fmt.Errorf("cluster: no eligible holder group for %q", key)
 		}
 	}

@@ -2,149 +2,38 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
-	"harmonia/internal/protocol"
-	"harmonia/internal/sim"
-	"harmonia/internal/store"
-	"harmonia/internal/trace"
+	"harmonia/internal/core"
 	"harmonia/internal/wire"
 )
 
-// Online slot migration (group rebalancing). The handoff follows the
-// §5.3 playbook, applied to a set of routing slots instead of a whole
-// switch:
-//
-//  1. freeze — the front-end drops the slots' client reads and writes,
-//     exactly as a booting switch drops everything; client timeouts
-//     handle retry. Replica-originated traffic (replies, completions)
-//     still flows, which is what lets the source drain.
-//  2. drain — poll until the source scheduler's dirty set holds no
-//     entry for any of the slots. In-order write processing (§5.2)
-//     makes this the full quiescence signal: every write the switch
-//     sequenced for the slots has either committed everywhere or can
-//     never apply. Stray entries (lost WRITE-COMPLETIONs) are swept as
-//     the commit point passes them; if the group is otherwise idle, the
-//     controller nudges the commit point forward with flush writes to
-//     an unfrozen slot of the same group.
-//  3. copy — extract the slots' objects from every source replica,
-//     keep the newest version of each, and install them into the
-//     destination replicas with epoch-0 sequence numbers (each group's
-//     scheduler counts in its own sequence space; importing a foreign
-//     high-water mark would wedge the destination's write-order
-//     guard).
-//  4. flip & thaw — point the slots' routes at the destination, drop
-//     the source copies, and unfreeze. The next retry of any dropped
-//     request lands on the new owner, which has everything.
-//
-// A batch pays the freeze window, the drain, the copy round trip, and
-// the flip ONCE for the whole slot set, where per-slot migration pays
-// each of them per slot — that amortization is what makes rebalancing
+// Online slot migration (group rebalancing): the handoff lifecycle
+// (handoff.go) applied to a set of routing slots moving from one source
+// group to one destination. The drain waits on the batch's own slots,
+// the commit drops the source copies and flips the routes. A batch pays
+// the freeze window, the drain, the copy round trip and the flip ONCE
+// for the whole slot set — the amortization that makes rebalancing
 // rounds cheap enough to run from a control loop.
-const (
-	// migratePollInterval paces the drain check.
-	migratePollInterval = 100 * time.Microsecond
-	// migrateFlushEvery is how many empty polls pass between flush
-	// writes nudging an idle source group's commit point forward.
-	migrateFlushEvery = 5
-	// migratePerObjectCost models the state-transfer time per copied
-	// object (on top of one round trip).
-	migratePerObjectCost = 200 * time.Nanosecond
-	// migrateDeadline bounds the blocking MigrateSlot/MigrateSlots
-	// calls.
-	migrateDeadline = 500 * time.Millisecond
-)
-
-// Migration tracks one online handoff of a set of slots from one
-// source group to one destination.
-type Migration struct {
-	// Slot is the first slot of the batch — the whole story for the
-	// single-slot StartSlotMigration form.
-	Slot int
-	// Slots lists every slot in the handoff.
-	Slots []int
-	From  int
-	To    int
-
-	c       *Cluster
-	polls   int
-	objects int
-	copying bool
-	done    bool
-	aborted bool
-
-	// deadline bounds the drain: a poll past it aborts the handoff
-	// (slots thaw on their original owner). Without it, a non-blocking
-	// handoff whose source can never drain would keep its slots —
-	// by construction the hottest ones, when the rebalancer started it
-	// — frozen forever, with no caller around to notice.
-	deadline sim.Time
-
-	// auto marks a handoff initiated by the rebalancer control loop;
-	// its completed slot moves land in the cluster's Rebalances
-	// counter.
-	auto bool
-}
-
-// Done reports whether the handoff completed (routes flipped, slots
-// thawed).
-func (m *Migration) Done() bool { return m.done }
-
-// Aborted reports whether the handoff was cancelled before the copy
-// started (slots thawed on their original group, nothing moved).
-func (m *Migration) Aborted() bool { return m.aborted }
-
-// Objects returns the number of objects copied (valid once Done).
-func (m *Migration) Objects() int { return m.objects }
-
-// Abort cancels a handoff that has not reached the copy stage: the
-// slots thaw on their original group and become migratable again. It
-// reports whether the cancellation took effect — once the copy is in
-// flight the handoff is moments from completing and can no longer be
-// abandoned (the routes will flip).
-func (m *Migration) Abort() bool {
-	if m.done || m.aborted || m.copying {
-		return false
-	}
-	m.aborted = true
-	for _, s := range m.Slots {
-		m.c.rack.UnfreezeSlot(s)
-		delete(m.c.migrations, s)
-		m.c.rec.Emit(trace.Event{
-			Kind: trace.EvMigrationAbort, Switch: int16(m.c.rack.SwitchOfSlot(s)),
-			Group: int16(m.From), Slot: int16(s), Arg: uint64(m.To),
-		})
-	}
-	return true
-}
-
-// StartSlotMigration begins an online handoff of slot to group "to"
-// and returns immediately; the protocol advances on simulation timers
-// so load keeps running while the slot migrates. A migration to the
-// slot's current owner completes instantly as a no-op. At most one
-// migration per slot may be in flight; different slots migrate
-// concurrently.
-func (c *Cluster) StartSlotMigration(slot, to int) (*Migration, error) {
-	return c.StartBatchMigration([]int{slot}, to)
-}
 
 // StartBatchMigration begins an online handoff of a set of slots to
-// group "to" as ONE operation: one freeze window, one drain, one bulk
-// copy, one route flip — amortizing the per-slot costs StartSlotMigration
-// pays individually. Slots already routed to "to" are dropped from the
-// batch as no-ops; the remaining slots must share a single current
-// owner (use MigrateSlots to move a mixed-owner set). An empty or
-// fully-no-op batch completes instantly without freezing anything.
-func (c *Cluster) StartBatchMigration(slots []int, to int) (*Migration, error) {
+// group "to" as ONE operation and returns immediately; the handoff
+// advances on simulation timers so load keeps running while the slots
+// migrate. Slots already routed to "to" are dropped from the batch as
+// no-ops; the remaining slots must share a single current owner (use
+// StartMigrateSlots to move a mixed-owner set). An empty or fully-no-op
+// batch completes instantly without freezing anything. At most one
+// handoff per slot may be in flight; different slots migrate
+// concurrently.
+func (c *Cluster) StartBatchMigration(slots []int, to int) (*Op, error) {
 	if to < 0 || to >= len(c.groups) {
 		return nil, fmt.Errorf("cluster: destination group %d out of range", to)
+	}
+	if err := checkSlots(slots); err != nil {
+		return nil, err
 	}
 	seen := make(map[int]bool, len(slots))
 	var live []int
 	for _, s := range slots {
-		if s < 0 || s >= wire.NumSlots {
-			return nil, fmt.Errorf("cluster: slot %d out of range [0, %d)", s, wire.NumSlots)
-		}
 		if seen[s] {
 			return nil, fmt.Errorf("cluster: slot %d listed twice in the batch", s)
 		}
@@ -157,116 +46,99 @@ func (c *Cluster) StartBatchMigration(slots []int, to int) (*Migration, error) {
 	if len(live) == 0 {
 		// Nothing to move. No freeze, no drain, no copy: the route is
 		// already correct for every requested slot.
-		first := -1
-		if len(slots) > 0 {
-			first = slots[0]
-		}
-		return &Migration{Slot: first, Slots: nil, From: to, To: to, c: c, done: true}, nil
+		return &Op{Kind: "migrate", Group: to, From: to, To: to, c: c, done: true}, nil
 	}
 	from := c.rack.RouteOf(live[0])
 	for _, s := range live[1:] {
 		if g := c.rack.RouteOf(s); g != from {
-			return nil, fmt.Errorf("cluster: batch spans source groups %d and %d (slot %d); use MigrateSlots", from, g, s)
+			return nil, fmt.Errorf("cluster: batch spans source groups %d and %d (slot %d); use StartMigrateSlots", from, g, s)
 		}
 	}
 	for _, s := range live {
-		if _, busy := c.migrations[s]; busy {
-			return nil, fmt.Errorf("cluster: slot %d is already migrating", s)
-		}
-		if c.rack.Frozen(s) {
-			// Frozen without a migration record: an elastic operation
-			// (respec drain, group retirement) holds the slot.
-			return nil, fmt.Errorf("cluster: slot %d is frozen by another reconfiguration", s)
+		if op, busy := c.held[s]; busy {
+			return nil, fmt.Errorf("cluster: slot %d is held by an in-flight %s", s, op.Kind)
 		}
 	}
-	m := &Migration{
-		Slot: live[0], Slots: live, From: from, To: to, c: c,
-		deadline: c.eng.Now() + sim.Time(migrateDeadline),
-	}
-	for _, s := range live {
-		c.migrations[s] = m
-		c.rack.FreezeSlot(s)
-		c.rec.Emit(trace.Event{
-			Kind: trace.EvMigrationStart, Switch: int16(c.rack.SwitchOfSlot(s)),
-			Group: int16(from), Slot: int16(s), Arg: uint64(to),
-		})
-	}
-	c.eng.After(migratePollInterval, m.poll)
-	return m, nil
+	op := c.newOp("migrate", to)
+	op.Slots, op.From, op.To = live, from, to
+	src := c.groups[from].replicas
+	c.run(&handoff{
+		op: op, slots: live, emit: true,
+		drain: &drain{group: from, clear: func(s *core.Scheduler) bool {
+			return s.DirtyCount() == 0 || s.DirtyInSlots(live) == 0
+		}},
+		legs: []leg{{from: src, slots: live, to: to}},
+		commit: func() {
+			for _, r := range src {
+				for _, s := range live {
+					r.DropSlot(s)
+				}
+			}
+			for _, s := range live {
+				c.rack.SetRoute(s, to)
+			}
+			if op.auto {
+				c.rebalanced += uint64(len(live))
+			}
+		},
+	})
+	return op, nil
 }
 
-// MigrateSlot is the blocking convenience form: it starts the handoff
-// and drives the simulation until it completes. If a generous deadline
-// expires first (e.g. the source group can no longer commit anything,
-// so its dirty set never drains), the handoff is aborted — the slot
-// thaws on its original group and stays fully available — and an
-// error is returned. Migrating a slot to its current owner is a no-op
-// success.
-func (c *Cluster) MigrateSlot(slot, to int) error {
-	return c.MigrateSlots([]int{slot}, to)
-}
-
-// MigrateSlots is the blocking batch form: the slots are grouped by
-// their current owner, one batch handoff is started per source group
-// (each paying one freeze/drain/copy/flip for its share), and the
-// simulation is driven until every handoff completes. Slots already
-// owned by "to" are no-op successes. On deadline the undrained
-// handoffs are aborted — their slots thaw on their original groups —
-// and an error is returned.
-func (c *Cluster) MigrateSlots(slots []int, to int) error {
+// StartMigrateSlots starts one batch handoff per current owner of
+// slots, each paying one freeze/drain/copy/flip for its share. Slots
+// already owned by "to" are no-ops. If a batch cannot start, the ones
+// already started are aborted and the error returned.
+func (c *Cluster) StartMigrateSlots(slots []int, to int) ([]*Op, error) {
 	if to < 0 || to >= len(c.groups) {
-		return fmt.Errorf("cluster: destination group %d out of range", to)
+		return nil, fmt.Errorf("cluster: destination group %d out of range", to)
 	}
-	// Partition by current owner, preserving request order so runs stay
-	// deterministic (map-keyed grouping would randomize start order).
-	var sources []int
-	bySource := make(map[int][]int)
-	for _, s := range slots {
-		if s < 0 || s >= wire.NumSlots {
-			return fmt.Errorf("cluster: slot %d out of range [0, %d)", s, wire.NumSlots)
+	if err := checkSlots(slots); err != nil {
+		return nil, err
+	}
+	var ops []*Op
+	for _, batch := range c.byOwner(slots, to) {
+		op, err := c.StartBatchMigration(batch, to)
+		if err != nil {
+			for _, prev := range ops {
+				prev.Abort()
+			}
+			return nil, err
 		}
+		ops = append(ops, op)
+	}
+	return ops, nil
+}
+
+// byOwner splits slots by current owner, in first-seen order so runs
+// stay deterministic (map-keyed grouping would randomize start order).
+// Slots already owned by "to" are left out.
+func (c *Cluster) byOwner(slots []int, to int) [][]int {
+	var owners []int
+	by := make(map[int][]int)
+	for _, s := range slots {
 		g := c.rack.RouteOf(s)
 		if g == to {
 			continue
 		}
-		if _, ok := bySource[g]; !ok {
-			sources = append(sources, g)
+		if _, ok := by[g]; !ok {
+			owners = append(owners, g)
 		}
-		bySource[g] = append(bySource[g], s)
+		by[g] = append(by[g], s)
 	}
-	var migs []*Migration
-	for _, g := range sources {
-		m, err := c.StartBatchMigration(bySource[g], to)
-		if err != nil {
-			for _, prev := range migs {
-				prev.Abort()
-			}
-			return err
-		}
-		migs = append(migs, m)
+	out := make([][]int, len(owners))
+	for i, g := range owners {
+		out[i] = by[g]
 	}
-	return c.driveMigrations(migs)
+	return out
 }
 
-// SwapSlots exchanges two slot sets between their owning groups as two
-// concurrent batch handoffs — slotsA move to slotsB's owner and vice
-// versa — so a rebalancing round can trade a hot slot for a cold one
-// without changing either group's slot occupancy. Each set must be
-// non-empty and uniformly owned, and the two owners must differ. The
-// call blocks until both handoffs complete; on deadline both are
-// aborted and every slot thaws on its original owner.
-func (c *Cluster) SwapSlots(slotsA, slotsB []int) error {
-	ma, mb, err := c.StartSwapSlots(slotsA, slotsB)
-	if err != nil {
-		return err
-	}
-	return c.driveMigrations([]*Migration{ma, mb})
-}
-
-// StartSwapSlots begins the two batch handoffs of a SwapSlots exchange
-// and returns immediately (the non-blocking form, for swaps started
-// mid-run from simulation timers).
-func (c *Cluster) StartSwapSlots(slotsA, slotsB []int) (*Migration, *Migration, error) {
+// StartSwapSlots exchanges two slot sets between their owning groups as
+// two concurrent batch handoffs — slotsA move to slotsB's owner and
+// vice versa — so a rebalancing round can trade a hot slot for a cold
+// one without changing either group's slot occupancy. Each set must be
+// non-empty and uniformly owned, and the two owners must differ.
+func (c *Cluster) StartSwapSlots(slotsA, slotsB []int) (*Op, *Op, error) {
 	ga, err := c.uniformOwner(slotsA)
 	if err != nil {
 		return nil, nil, err
@@ -291,219 +163,24 @@ func (c *Cluster) StartSwapSlots(slotsA, slotsB []int) (*Migration, *Migration, 
 }
 
 // uniformOwner returns the single group currently owning every slot of
-// the set, or an error when the set is empty, out of range, or spans
+// a swap set, or an error when the set is empty, out of range, or spans
 // owners.
 func (c *Cluster) uniformOwner(slots []int) (int, error) {
-	if len(slots) == 0 {
-		return 0, fmt.Errorf("cluster: empty swap set")
+	if err := checkSlots(slots); err != nil {
+		return 0, err
 	}
+	if owners := c.byOwner(slots, -1); len(owners) != 1 {
+		return 0, fmt.Errorf("cluster: swap set %v does not have exactly one owner group", slots)
+	}
+	return c.rack.RouteOf(slots[0]), nil
+}
+
+// checkSlots rejects slot numbers outside the table.
+func checkSlots(slots []int) error {
 	for _, s := range slots {
 		if s < 0 || s >= wire.NumSlots {
-			return 0, fmt.Errorf("cluster: slot %d out of range [0, %d)", s, wire.NumSlots)
+			return fmt.Errorf("cluster: slot %d out of range [0, %d)", s, wire.NumSlots)
 		}
-	}
-	g := c.rack.RouteOf(slots[0])
-	for _, s := range slots[1:] {
-		if got := c.rack.RouteOf(s); got != g {
-			return 0, fmt.Errorf("cluster: swap set spans groups %d and %d (slot %d)", g, got, s)
-		}
-	}
-	return g, nil
-}
-
-// driveMigrations runs the simulation until every handoff settles
-// (completes, or self-aborts at its drain deadline), reporting the
-// aborted ones as an error.
-func (c *Cluster) driveMigrations(migs []*Migration) error {
-	settled := func() bool {
-		for _, m := range migs {
-			if !m.done && !m.aborted {
-				return false
-			}
-		}
-		return true
-	}
-	deadline := c.eng.Now() + sim.Time(migrateDeadline)
-	for !settled() && c.eng.Now() < deadline {
-		if !c.eng.Step() {
-			break
-		}
-	}
-	var stuck []*Migration
-	for _, m := range migs {
-		if m.done {
-			continue
-		}
-		if !m.aborted && !m.Abort() {
-			// The copy was already in flight: let it finish.
-			for !m.done && c.eng.Step() {
-			}
-			if m.done {
-				continue
-			}
-		}
-		stuck = append(stuck, m)
-	}
-	if len(stuck) > 0 {
-		m := stuck[0]
-		return fmt.Errorf("cluster: migration of %d slot(s) to group %d did not complete (aborted, slots stay on group %d)",
-			len(m.Slots), m.To, m.From)
 	}
 	return nil
-}
-
-// poll is the drain check (step 2).
-func (m *Migration) poll() {
-	if m.aborted {
-		return
-	}
-	c := m.c
-	if c.eng.Now() >= m.deadline {
-		// The source could not drain in a generous window (e.g. it can
-		// no longer commit anything): give the slots back. Blocking
-		// callers report the abort as an error; the rebalancer simply
-		// re-plans from fresh heat once the imbalance persists.
-		m.Abort()
-		return
-	}
-	sched := c.groups[m.From].sched
-	if sched != nil {
-		// Reclaim strays the commit point has passed, then test
-		// quiescence. DirtyCount is a cheap occupancy counter gating
-		// both register scans.
-		if sched.DirtyCount() > 0 {
-			sched.SweepStale()
-		}
-		if sched.DirtyCount() == 0 || sched.DirtyInSlots(m.Slots) == 0 {
-			m.copyAndFlip()
-			return
-		}
-		m.polls++
-		if m.polls%migrateFlushEvery == 0 {
-			// The slots still look busy and nothing has cleared them:
-			// the group may be idle with a stray entry whose completion
-			// was lost. A write to an unfrozen slot of the same group
-			// advances the commit point past the stray so the next
-			// sweep reclaims it (every slot of this batch is frozen, so
-			// the flush can never land in one).
-			c.flushWrite(m.From, -1)
-		}
-	}
-	c.eng.After(migratePollInterval, m.poll)
-}
-
-// copyAndFlip runs steps 3 and 4 for the whole batch at once.
-func (m *Migration) copyAndFlip() {
-	m.copying = true
-	c := m.c
-	// Newest version of each object across the source replicas. After
-	// the drain, replicas agree on every committed write of the slots;
-	// the max-merge additionally covers a replica that lags in apply.
-	merged := make(map[wire.ObjectID]store.Object)
-	for _, r := range c.groups[m.From].replicas {
-		for _, slot := range m.Slots {
-			for id, o := range r.ExtractSlot(slot) {
-				if cur, ok := merged[id]; !ok || cur.Seq.Less(o.Seq) {
-					merged[id] = o
-				}
-			}
-		}
-	}
-	m.objects = len(merged)
-	install := make(map[wire.ObjectID]store.Object, len(merged))
-	for id, o := range merged {
-		install[id] = store.Object{Value: o.Value, Seq: wire.Seq{Epoch: 0, N: o.Seq.N}}
-	}
-	// The at-most-once client tables travel with the objects: a write
-	// the source executed whose reply was lost in flight is still being
-	// retried by its client, and after the flip that retry lands on the
-	// destination — whose table would otherwise admit it as fresh and
-	// re-execute it, possibly clobbering a newer committed value of the
-	// same key (observed as a linearizability violation under drops).
-	// Per client the newest request wins; replies kept for replay are
-	// re-stamped for the destination (zero Seq, so the replay's
-	// traversal of the switch cannot masquerade as a source-group
-	// write-completion and inflate its commit point).
-	clients := make(map[uint32]protocol.ClientRecord)
-	for _, r := range c.groups[m.From].replicas {
-		for id, rec := range r.ExportClients() {
-			cur, ok := clients[id]
-			if !ok || rec.ReqID > cur.ReqID || (rec.ReqID == cur.ReqID && cur.Reply == nil && rec.Reply != nil) {
-				if ok && cur.Reply != nil {
-					cur.Reply.Release()
-				}
-				clients[id] = rec
-			} else if rec.Reply != nil {
-				rec.Reply.Release()
-			}
-		}
-	}
-	for id, rec := range clients {
-		if rec.Reply == nil {
-			continue
-		}
-		// Re-stamp on a pooled flight copy owned by this record set; the
-		// exported reference is returned to its table's lifecycle.
-		rep := rec.Reply.FlightClone()
-		rep.Seq = wire.Seq{}
-		rep.Group = uint16(m.To)
-		rec.Reply.Release()
-		clients[id] = protocol.ClientRecord{ReqID: rec.ReqID, Reply: rep}
-	}
-	// One control round trip plus a per-object transfer cost for the
-	// whole batch; the slots stay frozen while the copy is in flight.
-	delay := 2*c.cfg.LinkLatency + time.Duration(len(install))*migratePerObjectCost
-	c.eng.After(delay, func() {
-		for _, r := range c.groups[m.To].replicas {
-			r.InstallSlot(install)
-			r.MergeClients(clients)
-		}
-		protocol.ReleaseRecords(clients)
-		for _, r := range c.groups[m.From].replicas {
-			for _, slot := range m.Slots {
-				r.DropSlot(slot)
-			}
-		}
-		for _, slot := range m.Slots {
-			c.rack.SetRoute(slot, m.To)
-			c.rack.UnfreezeSlot(slot)
-			delete(c.migrations, slot)
-			c.rec.Emit(trace.Event{
-				Kind: trace.EvMigrationFlip, Switch: int16(c.rack.SwitchOfSlot(slot)),
-				Group: int16(m.To), Slot: int16(slot), Arg: uint64(m.From),
-			})
-		}
-		m.done = true
-		if m.auto {
-			c.rebalanced += uint64(len(m.Slots))
-			c.rebalanceRounds++
-		}
-	})
-}
-
-// flushWrite issues one control-plane write to group g, steering clear
-// of avoidSlot and preferring unfrozen slots, so the group's
-// last-committed point advances even when client load is idle. It uses
-// the priming client identity (ClientID 0) with a request ID range of
-// its own. When EVERY slot the group serves is frozen — the
-// whole-group drain of a retirement or membership respec — the nudge
-// is forced through the freeze with wire.FlagFlush: the flush write
-// quiesces like any other and its object travels with the batch, but
-// without it the drain would wedge on a stray entry forever.
-func (c *Cluster) flushWrite(g, avoidSlot int) {
-	var flags wire.Flags
-	key, ok := c.keyInGroup(g, fmt.Sprintf("__flush__%d_", g), avoidSlot)
-	if !ok {
-		key, ok = c.keyInGroupAny(g, fmt.Sprintf("__flush__%d_", g), avoidSlot, true)
-		if !ok {
-			return
-		}
-		flags = wire.FlagFlush
-	}
-	c.flushCtr++
-	pkt := &wire.Packet{
-		Op: wire.OpWrite, Flags: flags, ObjID: wire.HashKey(key), Key: key,
-		Group: uint16(g), ClientID: 0, ReqID: 1<<32 + c.flushCtr, Value: []byte{1},
-	}
-	c.net.Send(clientBase, c.switchAddrForObj(pkt.ObjID), pkt)
 }

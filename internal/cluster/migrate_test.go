@@ -47,13 +47,13 @@ func TestMigrateSlotMovesKeysAndData(t *testing.T) {
 		}
 	}
 
-	if err := c.MigrateSlot(slot, 2); err != nil {
+	if err := c.migrate([]int{slot}, 2); err != nil {
 		t.Fatalf("MigrateSlot: %v", err)
 	}
 	if got := c.SlotTable()[slot]; got != 2 {
 		t.Fatalf("slot %d routed to %d after migration, want 2", slot, got)
 	}
-	if c.Frontend().Frozen(slot) {
+	if c.FrontendOf(0).Frozen(slot) {
 		t.Fatal("slot still frozen after migration")
 	}
 
@@ -89,29 +89,29 @@ func TestMigrateSlotMovesKeysAndData(t *testing.T) {
 
 func TestMigrateSlotValidation(t *testing.T) {
 	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Groups: 2, Seed: 5})
-	if _, err := c.StartSlotMigration(-1, 0); err == nil {
+	if _, err := c.StartBatchMigration([]int{-1}, 0); err == nil {
 		t.Fatal("negative slot accepted")
 	}
-	if _, err := c.StartSlotMigration(wire.NumSlots, 0); err == nil {
+	if _, err := c.StartBatchMigration([]int{wire.NumSlots}, 0); err == nil {
 		t.Fatal("out-of-range slot accepted")
 	}
-	if _, err := c.StartSlotMigration(0, 2); err == nil {
+	if _, err := c.StartBatchMigration([]int{0}, 2); err == nil {
 		t.Fatal("out-of-range group accepted")
 	}
 	// Self-migration completes instantly and leaves nothing frozen.
 	from := c.SlotTable()[7]
-	m, err := c.StartSlotMigration(7, from)
+	m, err := c.StartBatchMigration([]int{7}, from)
 	if err != nil || !m.Done() {
 		t.Fatalf("self-migration: %v, done=%v", err, m.Done())
 	}
-	if c.Frontend().Frozen(7) {
+	if c.FrontendOf(0).Frozen(7) {
 		t.Fatal("self-migration froze the slot")
 	}
 	// Double migration of one slot is rejected while in flight.
-	if _, err := c.StartSlotMigration(3, 1-c.SlotTable()[3]); err != nil {
+	if _, err := c.StartBatchMigration([]int{3}, 1-c.SlotTable()[3]); err != nil {
 		t.Fatalf("first migration: %v", err)
 	}
-	if _, err := c.StartSlotMigration(3, 0); err == nil {
+	if _, err := c.StartBatchMigration([]int{3}, 0); err == nil {
 		t.Fatal("concurrent migration of one slot accepted")
 	}
 }
@@ -197,7 +197,7 @@ func migrateChaosCase(t *testing.T, p Protocol, chaos, kind string) {
 		switch kind {
 		case "single":
 			for i, s := range takeSlots(t, g0, 2) {
-				start(c.StartSlotMigration(s, 1+i%2))
+				start(c.StartBatchMigration([]int{s}, 1+i%2))
 			}
 		case "batch":
 			start(c.StartBatchMigration(takeSlots(t, g0, 3), 2))
@@ -239,7 +239,7 @@ func migrateChaosCase(t *testing.T, p Protocol, chaos, kind string) {
 			// original owner — mid-run aborts are legal, lost slots are
 			// not.
 			for _, s := range m.Slots {
-				if c.Frontend().Frozen(s) {
+				if c.FrontendOf(0).Frozen(s) {
 					t.Fatalf("aborted handoff left slot %d frozen", s)
 				}
 				if got := c.SlotTable()[s]; got != m.From {
@@ -255,7 +255,7 @@ func migrateChaosCase(t *testing.T, p Protocol, chaos, kind string) {
 			if got := c.SlotTable()[s]; got != m.To {
 				t.Fatalf("slot %d routed to %d, want %d", s, got, m.To)
 			}
-			if c.Frontend().Frozen(s) {
+			if c.FrontendOf(0).Frozen(s) {
 				t.Fatalf("slot %d still frozen after handoff", s)
 			}
 		}
@@ -269,6 +269,7 @@ func migrateChaosCase(t *testing.T, p Protocol, chaos, kind string) {
 			t.Fatalf("group %d violated linearizability across the handoff: %s", g, res.Reason)
 		}
 	}
+	assertSettled(t, c)
 }
 
 // TestMigrateSlotAllProtocols exercises the handoff under every
@@ -292,7 +293,7 @@ func TestMigrateSlotAllProtocols(t *testing.T) {
 					t.Fatalf("Set: %v", err)
 				}
 			}
-			if err := c.MigrateSlot(slot, 1); err != nil {
+			if err := c.migrate([]int{slot}, 1); err != nil {
 				t.Fatalf("MigrateSlot: %v", err)
 			}
 			for _, i := range idxs {
@@ -328,7 +329,7 @@ func TestMigrateSlotAbortsWhenSourceCannotDrain(t *testing.T) {
 				Stages: 1, SlotsPerStage: 64, Seed: 25 + int64(p),
 			})
 			cl := c.NewSyncClient()
-			key, ok := c.keyInGroup(0, "wedge_", -1)
+			key, ok := c.keyInGroup(0, "wedge_", false)
 			if !ok {
 				t.Fatal("no key in group 0")
 			}
@@ -351,7 +352,7 @@ func TestMigrateSlotAbortsWhenSourceCannotDrain(t *testing.T) {
 				t.Fatal("wedge write not tracked")
 			}
 
-			if err := c.MigrateSlot(slot, 1); err == nil {
+			if err := c.migrate([]int{slot}, 1); err == nil {
 				t.Fatal("migration completed despite an undrainable source")
 			}
 			if c.rack.Frozen(slot) {
@@ -373,7 +374,7 @@ func TestMigrateSlotAbortsWhenSourceCannotDrain(t *testing.T) {
 			if v, k2, err := cl.Get(key); err != nil || !k2 || len(v) == 0 {
 				t.Fatalf("slot unavailable after aborted migration: %q %v %v", v, k2, err)
 			}
-			if err := c.MigrateSlot(slot, 1); err != nil {
+			if err := c.migrate([]int{slot}, 1); err != nil {
 				t.Fatalf("retried migration after recovery: %v", err)
 			}
 			if v, k2, err := cl.Get(key); err != nil || !k2 {
@@ -394,7 +395,7 @@ func TestMigrateNonBlockingAbortsAtDeadline(t *testing.T) {
 		Stages: 1, SlotsPerStage: 64, Seed: 83,
 	})
 	cl := c.NewSyncClient()
-	key, ok := c.keyInGroup(0, "wedge_", -1)
+	key, ok := c.keyInGroup(0, "wedge_", false)
 	if !ok {
 		t.Fatal("no key in group 0")
 	}
@@ -409,7 +410,7 @@ func TestMigrateNonBlockingAbortsAtDeadline(t *testing.T) {
 		Op: wire.OpWrite, ObjID: wire.HashKey(key), Key: key,
 		ClientID: 0, ReqID: 999, Value: []byte{2},
 	})
-	m, err := c.StartSlotMigration(slot, 1)
+	m, err := c.StartBatchMigration([]int{slot}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,15 +424,15 @@ func TestMigrateNonBlockingAbortsAtDeadline(t *testing.T) {
 	if got := c.SlotTable()[slot]; got != 0 {
 		t.Fatalf("deadline abort flipped the route to %d", got)
 	}
-	if len(c.migrations) != 0 {
-		t.Fatalf("%d handoffs still registered after the abort", len(c.migrations))
+	if len(c.held) != 0 {
+		t.Fatalf("%d handoffs still registered after the abort", len(c.held))
 	}
 	// Recover and migrate for real.
 	for i := 0; i < 3; i++ {
 		c.net.SetDown(c.GroupReplicaAddr(0, i), false)
 	}
 	c.RunFor(5 * time.Millisecond)
-	if err := c.MigrateSlot(slot, 1); err != nil {
+	if err := c.migrate([]int{slot}, 1); err != nil {
 		t.Fatalf("retried migration after recovery: %v", err)
 	}
 	if v, k2, err := cl.Get(key); err != nil || !k2 {
@@ -447,7 +448,7 @@ func TestMigrateNonBlockingAbortsAtDeadline(t *testing.T) {
 func TestMigrateToCurrentGroupIsNoop(t *testing.T) {
 	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Groups: 3, Seed: 51})
 	cl := c.NewSyncClient()
-	key, ok := c.keyInGroup(1, "noop_", -1)
+	key, ok := c.keyInGroup(1, "noop_", false)
 	if !ok {
 		t.Fatal("no key in group 1")
 	}
@@ -457,7 +458,7 @@ func TestMigrateToCurrentGroupIsNoop(t *testing.T) {
 	slot := c.SlotOfKey(key)
 	drops := c.rack.Front(0).Stats.FrozenDrops
 
-	m, err := c.StartSlotMigration(slot, 1)
+	m, err := c.StartBatchMigration([]int{slot}, 1)
 	if err != nil || !m.Done() || m.Aborted() {
 		t.Fatalf("self-migration: err=%v done=%v aborted=%v", err, m.Done(), m.Aborted())
 	}
@@ -467,8 +468,8 @@ func TestMigrateToCurrentGroupIsNoop(t *testing.T) {
 	if c.rack.Frozen(slot) {
 		t.Fatal("self-migration froze the slot")
 	}
-	if len(c.migrations) != 0 {
-		t.Fatalf("self-migration left %d handoffs registered", len(c.migrations))
+	if len(c.held) != 0 {
+		t.Fatalf("self-migration left %d handoffs registered", len(c.held))
 	}
 
 	// Batch form: a mix of no-op and real slots only moves the real
@@ -484,7 +485,7 @@ func TestMigrateToCurrentGroupIsNoop(t *testing.T) {
 			break
 		}
 	}
-	if err := c.MigrateSlots([]int{slot, other}, 1); err != nil {
+	if err := c.migrate([]int{slot, other}, 1); err != nil {
 		t.Fatalf("mixed batch: %v", err)
 	}
 	if got := c.SlotTable()[other]; got != 1 {
@@ -495,7 +496,7 @@ func TestMigrateToCurrentGroupIsNoop(t *testing.T) {
 	}
 
 	// Blocking form, and the data is untouched throughout.
-	if err := c.MigrateSlot(slot, 1); err != nil {
+	if err := c.migrate([]int{slot}, 1); err != nil {
 		t.Fatalf("blocking self-migration: %v", err)
 	}
 	if c.rack.Front(0).Stats.FrozenDrops != drops {
@@ -533,7 +534,7 @@ func TestMigrateSwapSlotsExchangesOwners(t *testing.T) {
 	vb := write(b, 2)
 
 	occBefore := occupancy(c)
-	if err := c.SwapSlots(a, b); err != nil {
+	if err := c.swap(a, b); err != nil {
 		t.Fatalf("SwapSlots: %v", err)
 	}
 	for _, s := range a {
@@ -564,14 +565,14 @@ func TestMigrateSwapSlotsExchangesOwners(t *testing.T) {
 	check(vb, 0)
 
 	// Validation: sets spanning owners, empty sets, shared owner.
-	if err := c.SwapSlots(nil, b); err == nil {
+	if err := c.swap(nil, b); err == nil {
 		t.Fatal("empty swap set accepted")
 	}
-	if err := c.SwapSlots(a, a); err == nil {
+	if err := c.swap(a, a); err == nil {
 		t.Fatal("same-owner swap accepted")
 	}
 	mixed := []int{a[0], b[0]}
-	if err := c.SwapSlots(mixed, []int{a[1]}); err == nil {
+	if err := c.swap(mixed, []int{a[1]}); err == nil {
 		t.Fatal("owner-spanning swap set accepted")
 	}
 }
@@ -653,14 +654,14 @@ func TestKeyInGroupBoundedWhenGroupEmptied(t *testing.T) {
 		if c.SlotTable()[s] != 1 {
 			continue
 		}
-		if err := c.MigrateSlot(s, 0); err != nil {
+		if err := c.migrate([]int{s}, 0); err != nil {
 			t.Fatalf("migrate slot %d: %v", s, err)
 		}
 	}
-	if _, ok := c.keyInGroup(1, "none_", -1); ok {
+	if _, ok := c.keyInGroup(1, "none_", false); ok {
 		t.Fatal("keyInGroup found a key in a group that owns no slots")
 	}
-	if _, ok := c.keyInGroup(0, "all_", -1); !ok {
+	if _, ok := c.keyInGroup(0, "all_", false); !ok {
 		t.Fatal("keyInGroup failed on the group owning every slot")
 	}
 }
@@ -672,7 +673,7 @@ func TestKeyInGroupBoundedWhenGroupEmptied(t *testing.T) {
 func TestFrozenSlotDropsAndRecovers(t *testing.T) {
 	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Groups: 2, Seed: 13})
 	cl := c.NewSyncClient()
-	key, ok := c.keyInGroup(0, "frozen_", -1)
+	key, ok := c.keyInGroup(0, "frozen_", false)
 	if !ok {
 		t.Fatal("no key in group 0")
 	}
@@ -709,7 +710,7 @@ func TestSweepReclaimsStraysWithoutReads(t *testing.T) {
 		SweepInterval: 2 * time.Millisecond,
 	})
 	for r := 0; r < 3; r++ {
-		c.Network().SetLink(c.ReplicaAddr(r), c.SwitchAddr(), simnet.LinkConfig{
+		c.Network().SetLink(c.GroupReplicaAddr(0, r), c.SwitchAddrOf(0), simnet.LinkConfig{
 			Latency: 5 * time.Microsecond, DropProb: 0.3, DropFilter: dropCompletions,
 		})
 	}
@@ -723,14 +724,14 @@ func TestSweepReclaimsStraysWithoutReads(t *testing.T) {
 	// Settle: in-flight writes finish (or are lost for good), then the
 	// sweeps run with the cluster idle.
 	c.RunFor(20 * time.Millisecond)
-	st := c.Scheduler().Stats
+	st := c.GroupScheduler(0).Stats
 	if st.SweptStale == 0 {
 		t.Fatal("periodic sweep reclaimed nothing despite dropped completions")
 	}
 	if st.LazyCleanups != 0 {
 		t.Fatalf("write-only load still saw %d read-path cleanups", st.LazyCleanups)
 	}
-	if n := c.Scheduler().DirtyCount(); n != 0 {
+	if n := c.GroupScheduler(0).DirtyCount(); n != 0 {
 		t.Fatalf("%d stray entries survived the sweep", n)
 	}
 }
@@ -750,7 +751,7 @@ func TestDroppedWriteRepliesDriveImmediateRetry(t *testing.T) {
 		Mode: Closed, Clients: 8, Duration: 10 * time.Millisecond,
 		Warmup: time.Millisecond, WriteRatio: 1, Keys: 64,
 	})
-	if c.Scheduler().Stats.WritesDropped == 0 {
+	if c.GroupScheduler(0).Stats.WritesDropped == 0 {
 		t.Fatal("one-slot dirty set never rejected a write (test lost its trigger)")
 	}
 	if rep.Dropped == 0 {

@@ -85,7 +85,7 @@ func TestRackCrossSwitchMigrationAllProtocols(t *testing.T) {
 					t.Fatalf("Set: %v", err)
 				}
 			}
-			if err := c.MigrateSlots([]int{slot}, dst); err != nil {
+			if err := c.migrate([]int{slot}, dst); err != nil {
 				t.Fatalf("cross-switch MigrateSlots: %v", err)
 			}
 			if got := c.SwitchOf(slot); got != 1 {
@@ -140,7 +140,7 @@ func TestRackCrossSwitchMigrationHeatPickup(t *testing.T) {
 	if c.FrontendOf(0).HeatOf(slot).Total() == 0 {
 		t.Fatal("owning front-end did not count the slot's traffic")
 	}
-	if err := c.MigrateSlots([]int{slot}, dst); err != nil {
+	if err := c.migrate([]int{slot}, dst); err != nil {
 		t.Fatalf("MigrateSlots: %v", err)
 	}
 	before := c.FrontendOf(1).HeatOf(slot).Total()
@@ -332,7 +332,7 @@ func rackChaosCase(t *testing.T, p Protocol, chaos, kind string) {
 		candidates := slotsOnSwitchOwnedBy(c, keys, 0, 0)
 		switch kind {
 		case "single":
-			start(c.StartSlotMigration(takeSlots(t, candidates, 1)[0], dst))
+			start(c.StartBatchMigration([]int{takeSlots(t, candidates, 1)[0]}, dst))
 		case "batch":
 			start(c.StartBatchMigration(takeSlots(t, candidates, 3), dst))
 		}

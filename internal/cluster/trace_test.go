@@ -139,7 +139,7 @@ func TestTraceEventsMigration(t *testing.T) {
 	c.Preload(64)
 	const slot = 7
 	from := c.SlotTable()[slot]
-	m, err := c.StartSlotMigration(slot, 1-from)
+	m, err := c.StartBatchMigration([]int{slot}, 1-from)
 	if err != nil {
 		t.Fatalf("StartSlotMigration: %v", err)
 	}

@@ -54,7 +54,7 @@ func figACluster(auto bool, seed int64, record bool, dropProb, reorderProb float
 		RecordHistory: record, DropProb: dropProb, ReorderProb: reorderProb,
 		ReorderDelay: 20 * time.Microsecond,
 	})
-	if err := c.MigrateSlots(hotSlots(c, 12), 0); err != nil {
+	if err := migrate(c, hotSlots(c, 12), 0); err != nil {
 		panic("experiments: pinning migration failed: " + err.Error())
 	}
 	return c

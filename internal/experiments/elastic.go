@@ -163,7 +163,7 @@ func figEVerify() bool {
 		Protocol: cluster.Chain, Replicas: 3, UseHarmonia: true,
 		Groups: 3, Seed: 431, RecordHistory: true, DropProb: 0.01,
 	})
-	var r *cluster.Reconfig
+	var r *cluster.Op
 	c.Engine().After(3*time.Millisecond, func() { r, _ = c.StartRemoveGroup(1) })
 	c.RunLoad(cluster.LoadSpec{
 		Mode: cluster.Closed, Clients: 12, Duration: 10 * time.Millisecond,
@@ -175,7 +175,7 @@ func figEVerify() bool {
 	if r == nil || !r.Done() || r.Err() != nil {
 		return false
 	}
-	if _, err := c.AddGroupWait(cluster.GroupSpec{Protocol: cluster.Chain}); err != nil {
+	if _, op, err := c.AddGroup(cluster.GroupSpec{Protocol: cluster.Chain}); err != nil || c.Wait(op) != nil {
 		return false
 	}
 	c.RunLoad(cluster.LoadSpec{

@@ -400,7 +400,7 @@ func AblationLazyCleanup(s Scale) []Series {
 			Stages: 1, SlotsPerStage: 512,
 		})
 		for r := 0; r < 3; r++ {
-			c.Network().SetLink(c.ReplicaAddr(r), c.SwitchAddr(), simnet.LinkConfig{
+			c.Network().SetLink(c.GroupReplicaAddr(0, r), c.SwitchAddrOf(0), simnet.LinkConfig{
 				Latency: 5 * time.Microsecond, DropProb: 0.3, DropFilter: dropCompletions,
 			})
 		}
@@ -430,7 +430,7 @@ func AblationStages(s Scale) []Series {
 			Stages: cf.stages, SlotsPerStage: cf.slots, Seed: 31,
 		})
 		rep := saturate(c, 128, 0.3, cluster.Zipf09, 2000, window)
-		drops := c.Scheduler().Stats.WritesDropped
+		drops := c.GroupScheduler(0).Stats.WritesDropped
 		out[i] = Series{Name: fmt.Sprintf("%s (drops=%d)", cf.name, drops),
 			Points: []Point{{X: 0, Y: rep.Throughput / 1e6}}}
 	}

@@ -139,7 +139,7 @@ func figKVerify() bool {
 		return false
 	}
 	victim := int(hk.Holders[0])
-	var r *cluster.Reconfig
+	var r *cluster.Op
 	c.Engine().After(4*time.Millisecond, func() { r, _ = c.StartRemoveGroup(victim) })
 	c.RunLoad(cluster.LoadSpec{
 		Mode: cluster.Closed, Clients: 8, Duration: 8 * time.Millisecond,

@@ -162,7 +162,7 @@ func figMCrossMigrate(s Scale) (migrated, heatPickup bool) {
 		keys = append(keys, k)
 	}
 	dst := c.Rack().GroupsOf(3)[0]
-	if err := c.MigrateSlots([]int{slot}, dst); err != nil {
+	if err := migrate(c, []int{slot}, dst); err != nil {
 		return false, false
 	}
 	for _, k := range keys {

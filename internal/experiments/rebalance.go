@@ -34,6 +34,16 @@ type RebalanceResult struct {
 // textbook hot shard.
 const figRKeys = 64
 
+// migrate moves slots to group "to" (one batch handoff per current
+// owner) and drives the simulation until the handoffs settle.
+func migrate(c *cluster.Cluster, slots []int, to int) error {
+	ops, err := c.StartMigrateSlots(slots, to)
+	if err != nil {
+		return err
+	}
+	return c.Wait(ops...)
+}
+
 // hotSlots returns the routing slots of the hottest zipf ranks of the
 // Fig R key space, deduplicated in rank order.
 func hotSlots(c *cluster.Cluster, ranks int) []int {
@@ -83,7 +93,7 @@ func FigRDetail(s Scale) ([]Series, RebalanceResult) {
 	// Pin the hot spot: move the hottest ranks' slots onto one group.
 	slots := hotSlots(c, 12)
 	for _, slot := range slots {
-		if err := c.MigrateSlot(slot, res.HotGroup); err != nil {
+		if err := migrate(c, []int{slot}, res.HotGroup); err != nil {
 			panic("experiments: pinning migration failed: " + err.Error())
 		}
 	}
@@ -106,19 +116,19 @@ func FigRDetail(s Scale) ([]Series, RebalanceResult) {
 		lossy := simnet.LinkConfig{Latency: 5 * time.Microsecond, DropProb: p}
 		for g := 0; g < c.Groups(); g++ {
 			for i := 0; i < 3; i++ {
-				c.Network().SetLinkBoth(c.GroupReplicaAddr(g, i), c.SwitchAddr(), lossy)
+				c.Network().SetLinkBoth(c.GroupReplicaAddr(g, i), c.SwitchAddrOf(0), lossy)
 			}
 		}
 	}
 	res.MovedSlots = slots
 	res.Dests = make([]int, len(slots))
-	migs := make([]*cluster.Migration, 0, len(slots))
+	migs := make([]*cluster.Op, 0, len(slots))
 	setDrops(0.01)
 	c.Engine().After(warmup+window/4, func() {
 		for i, slot := range slots {
 			dest := 1 + i%3
 			res.Dests[i] = dest
-			m, err := c.StartSlotMigration(slot, dest)
+			m, err := c.StartBatchMigration([]int{slot}, dest)
 			if err != nil {
 				panic("experiments: rebalance migration failed: " + err.Error())
 			}
@@ -185,14 +195,14 @@ func rebalanceChaosVerify(s Scale) bool {
 	})
 	slots := hotSlots(c, 8)
 	for _, slot := range slots {
-		if err := c.MigrateSlot(slot, 0); err != nil {
+		if err := migrate(c, []int{slot}, 0); err != nil {
 			return false
 		}
 	}
-	var migs []*cluster.Migration
+	var migs []*cluster.Op
 	c.Engine().After(warmup+window/4, func() {
 		for i, slot := range slots {
-			m, err := c.StartSlotMigration(slot, 1+i%3)
+			m, err := c.StartBatchMigration([]int{slot}, 1+i%3)
 			if err != nil {
 				continue
 			}
