@@ -12,7 +12,10 @@
 // plotted series; figure P carries the full simulator-perf block) into
 // dir, so the perf trajectory is tracked per PR instead of anecdotal.
 // -baseline embeds a previous run's figure-P perf block as the
-// comparison baseline and reports the speedup against it.
+// comparison baseline and reports the speedup against it. When the
+// baseline was taken at the same -scale, it is also the determinism
+// oracle: the run's series must equal the baseline's bit for bit, and
+// any difference exits 1.
 //
 // With -trace, the control-plane-heavy figures (E, K) additionally dump
 // their cluster's flight recorder as Chrome trace_event JSON
@@ -145,9 +148,9 @@ type benchSnapshot struct {
 	Perf        *perfBlock   `json:"perf,omitempty"`
 }
 
-// loadBaseline pulls the figure-P perf block out of a previous
-// snapshot file.
-func loadBaseline(path string) (*experiments.PerfSnapshot, error) {
+// loadBaseline reads a previous figure-P snapshot file, which must
+// carry a perf block.
+func loadBaseline(path string) (*benchSnapshot, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -159,7 +162,29 @@ func loadBaseline(path string) (*experiments.PerfSnapshot, error) {
 	if snap.Perf == nil {
 		return nil, fmt.Errorf("%s: no perf block to use as baseline", path)
 	}
-	return &snap.Perf.Current, nil
+	return &snap, nil
+}
+
+// seriesDiff describes the first difference between two runs' series,
+// or returns "" when they are identical. JSON round-trips float64
+// exactly, so equality here is bit equality.
+func seriesDiff(got, want []jsonSeries) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d series, baseline has %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Name != w.Name || len(g.Points) != len(w.Points) {
+			return fmt.Sprintf("series %d is %q with %d points, baseline has %q with %d",
+				i, g.Name, len(g.Points), w.Name, len(w.Points))
+		}
+		for k := range g.Points {
+			if g.Points[k] != w.Points[k] {
+				return fmt.Sprintf("%q point %d is %v, baseline has %v", g.Name, k, g.Points[k], w.Points[k])
+			}
+		}
+	}
+	return ""
 }
 
 func main() {
@@ -176,13 +201,15 @@ func main() {
 	s := experiments.Scale(*scale)
 	experiments.TraceDir = *traceDir
 
+	var baseSnap *benchSnapshot
 	var base *experiments.PerfSnapshot
 	if *baseline != "" {
 		var err error
-		if base, err = loadBaseline(*baseline); err != nil {
+		if baseSnap, err = loadBaseline(*baseline); err != nil {
 			fmt.Fprintf(os.Stderr, "baseline: %v\n", err)
 			os.Exit(1)
 		}
+		base = &baseSnap.Perf.Current
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -270,6 +297,14 @@ func main() {
 					snap.Perf.SpeedupVsBaseline, *minSpeedup)
 				os.Exit(1)
 			}
+		}
+		if baseSnap != nil && baseSnap.Figure == snap.Figure && baseSnap.Scale == snap.Scale {
+			if d := seriesDiff(snap.Series, baseSnap.Series); d != "" {
+				fmt.Fprintf(os.Stderr, "determinism gate: figure %s at scale %g differs from the baseline: %s\n",
+					snap.Figure, snap.Scale, d)
+				os.Exit(1)
+			}
+			fmt.Printf("determinism: series identical to the baseline at scale %g\n", snap.Scale)
 		}
 		fmt.Println()
 	}

@@ -138,7 +138,6 @@ type GroupSpec struct {
 	// Server calibration overrides for this group's replicas; zero
 	// fields inherit the cluster-wide server model.
 	Workers   int
-	Shards    int
 	ReadCost  time.Duration
 	WriteCost time.Duration
 }
@@ -181,7 +180,6 @@ type Config struct {
 	ReadCost    time.Duration
 	WriteCost   time.Duration
 	ControlCost time.Duration
-	Shards      int
 
 	// Network model (defaults: 5µs links, lossless).
 	LinkLatency  time.Duration
@@ -304,9 +302,6 @@ func (c *Config) fillDefaults() {
 	if c.ControlCost <= 0 {
 		c.ControlCost = 2 * time.Microsecond
 	}
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
 	if c.LinkLatency <= 0 {
 		c.LinkLatency = 5 * time.Microsecond
 	}
@@ -369,9 +364,6 @@ func (c *Config) resolveSpec(sp *GroupSpec) {
 	sp.Harmonia = c.UseHarmonia && sp.Protocol != CRAQ
 	if sp.Workers <= 0 {
 		sp.Workers = c.Workers
-	}
-	if sp.Shards <= 0 {
-		sp.Shards = c.Shards
 	}
 	if sp.ReadCost <= 0 {
 		sp.ReadCost = c.ReadCost
@@ -1128,7 +1120,7 @@ func (c *Cluster) buildGroupReplicas(grp *replicaGroup) {
 	case PB:
 		rs := make([]*pb.Replica, n)
 		for i := range rs {
-			rs[i] = pb.New(env(i), gc(i), spec.Shards)
+			rs[i] = pb.New(env(i), gc(i))
 			rs[i].DisableCheck = c.cfg.DisableReadChecks
 			add(i, rs[i], baseHandle{rs[i].Base})
 		}
@@ -1136,7 +1128,7 @@ func (c *Cluster) buildGroupReplicas(grp *replicaGroup) {
 	case Chain:
 		rs := make([]*chain.Replica, n)
 		for i := range rs {
-			rs[i] = chain.New(env(i), gc(i), spec.Shards)
+			rs[i] = chain.New(env(i), gc(i))
 			rs[i].DisableCheck = c.cfg.DisableReadChecks
 			add(i, rs[i], baseHandle{rs[i].Base})
 		}
@@ -1144,7 +1136,7 @@ func (c *Cluster) buildGroupReplicas(grp *replicaGroup) {
 	case CRAQ:
 		rs := make([]*craq.Replica, n)
 		for i := range rs {
-			rs[i] = craq.New(env(i), gc(i), spec.Shards)
+			rs[i] = craq.New(env(i), gc(i))
 			add(i, rs[i], craqHandle{rs[i]})
 		}
 		grp.raw = rs
@@ -1153,7 +1145,7 @@ func (c *Cluster) buildGroupReplicas(grp *replicaGroup) {
 		opts := vr.DefaultOptions()
 		opts.EagerCompletions = c.cfg.EagerCompletions
 		for i := range rs {
-			rs[i] = vr.New(env(i), gc(i), spec.Shards, opts)
+			rs[i] = vr.New(env(i), gc(i), opts)
 			rs[i].DisableCheck = c.cfg.DisableReadChecks
 			rs[i].OnViewChange = c.viewChangeHook(gid)
 			add(i, rs[i], baseHandle{rs[i].Base})
@@ -1162,7 +1154,7 @@ func (c *Cluster) buildGroupReplicas(grp *replicaGroup) {
 	case NOPaxos:
 		rs := make([]*nopaxos.Replica, n)
 		for i := range rs {
-			rs[i] = nopaxos.New(env(i), gc(i), spec.Shards, nopaxos.Options{SyncEvery: c.cfg.SyncEvery})
+			rs[i] = nopaxos.New(env(i), gc(i), nopaxos.Options{SyncEvery: c.cfg.SyncEvery})
 			rs[i].DisableCheck = c.cfg.DisableReadChecks
 			add(i, rs[i], baseHandle{rs[i].Base})
 		}

@@ -16,11 +16,20 @@
 // Anything expressible against this interface is therefore plausibly
 // compilable to a real pipeline, which is the point of the substitution
 // documented in DESIGN.md.
+//
+// Each register array also carries an occupancy bitmap, one bit per
+// slot (8 KB for a 64000-slot stage). It is a simulator-side index, not
+// a modeled register access: a probe whose bit is clear answers
+// "absent" without touching the slot, and sweeps walk only the set
+// bits, so the nearly empty arrays stay out of the host's cache. The
+// modeled accounting — one access per stage per packet, MemoryBytes,
+// the §6.2 resource model — is unchanged.
 package dataplane
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // RegisterArray is one stage's array of 64-bit registers. Real switch
@@ -29,6 +38,7 @@ import (
 // which fits in two 32-bit registers or one paired 64-bit register.
 type RegisterArray struct {
 	slots []slot
+	occ   []uint64 // bit j set ⇔ slots[j].used
 }
 
 type slot struct {
@@ -39,7 +49,35 @@ type slot struct {
 
 // NewRegisterArray allocates an array with m slots.
 func NewRegisterArray(m int) *RegisterArray {
-	return &RegisterArray{slots: make([]slot, m)}
+	return &RegisterArray{slots: make([]slot, m), occ: make([]uint64, (m+63)/64)}
+}
+
+// occupied reports slot j's occupancy bit.
+func (r *RegisterArray) occupied(j int) bool { return r.occ[j>>6]&(1<<(j&63)) != 0 }
+
+// fill marks slot j used with (key, val).
+func (r *RegisterArray) fill(j int, key uint32, val uint64) {
+	r.slots[j] = slot{used: true, key: key, val: val}
+	r.occ[j>>6] |= 1 << (j & 63)
+}
+
+// clear empties slot j.
+func (r *RegisterArray) clear(j int) {
+	r.slots[j].used = false
+	r.occ[j>>6] &^= 1 << (j & 63)
+}
+
+// each calls fn for every used slot in ascending index order, walking
+// only the set bits of the occupancy bitmap. fn may clear the slot it
+// is given.
+func (r *RegisterArray) each(fn func(j int, sl *slot)) {
+	for w, word := range r.occ {
+		for word != 0 {
+			j := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			fn(j, &r.slots[j])
+		}
+	}
 }
 
 // Size returns the slot count.
@@ -142,8 +180,17 @@ func (t *Table) Insert(key uint32, seq uint64) error {
 	claimed := -1
 	for i := range t.stages {
 		st := &t.stages[i]
-		sl := &st.arr.slots[st.index(key)]
-		if sl.used && sl.key == key {
+		j := st.index(key)
+		if !st.arr.occupied(j) {
+			if claimed < 0 {
+				st.arr.fill(j, key, seq)
+				t.used++
+				claimed = i
+			}
+			continue
+		}
+		sl := &st.arr.slots[j]
+		if sl.key == key {
 			if claimed >= 0 {
 				// Deduplicate: fold this stale entry into the claim.
 				cst := &t.stages[claimed]
@@ -151,7 +198,7 @@ func (t *Table) Insert(key uint32, seq uint64) error {
 				if sl.val > csl.val {
 					csl.val = sl.val
 				}
-				sl.used = false
+				st.arr.clear(j)
 				t.used--
 				return nil
 			}
@@ -159,13 +206,6 @@ func (t *Table) Insert(key uint32, seq uint64) error {
 				sl.val = seq
 			}
 			return nil
-		}
-		if !sl.used && claimed < 0 {
-			sl.used = true
-			sl.key = key
-			sl.val = seq
-			t.used++
-			claimed = i
 		}
 	}
 	if claimed >= 0 {
@@ -179,8 +219,11 @@ func (t *Table) Insert(key uint32, seq uint64) error {
 func (t *Table) Lookup(key uint32) (uint64, bool) {
 	for i := range t.stages {
 		st := &t.stages[i]
-		sl := &st.arr.slots[st.index(key)]
-		if sl.used && sl.key == key {
+		j := st.index(key)
+		if !st.arr.occupied(j) {
+			continue
+		}
+		if sl := &st.arr.slots[j]; sl.key == key {
 			return sl.val, true
 		}
 	}
@@ -194,10 +237,13 @@ func (t *Table) Lookup(key uint32) (uint64, bool) {
 func (t *Table) Delete(key uint32, upTo uint64) bool {
 	for i := range t.stages {
 		st := &t.stages[i]
-		sl := &st.arr.slots[st.index(key)]
-		if sl.used && sl.key == key {
+		j := st.index(key)
+		if !st.arr.occupied(j) {
+			continue
+		}
+		if sl := &st.arr.slots[j]; sl.key == key {
 			if sl.val <= upTo {
-				sl.used = false
+				st.arr.clear(j)
 				t.used--
 				return true
 			}
@@ -217,14 +263,13 @@ func (t *Table) SweepStale(commit uint64) int {
 	removed := 0
 	for i := range t.stages {
 		arr := t.stages[i].arr
-		for j := range arr.slots {
-			sl := &arr.slots[j]
-			if sl.used && sl.val <= commit {
-				sl.used = false
+		arr.each(func(j int, sl *slot) {
+			if sl.val <= commit {
+				arr.clear(j)
 				t.used--
 				removed++
 			}
-		}
+		})
 	}
 	return removed
 }
@@ -235,12 +280,7 @@ func (t *Table) SweepStale(commit uint64) int {
 // switch-local CPU would, off the packet path.
 func (t *Table) Scan(fn func(key uint32, seq uint64)) {
 	for i := range t.stages {
-		arr := t.stages[i].arr
-		for j := range arr.slots {
-			if sl := &arr.slots[j]; sl.used {
-				fn(sl.key, sl.val)
-			}
-		}
+		t.stages[i].arr.each(func(_ int, sl *slot) { fn(sl.key, sl.val) })
 	}
 }
 
@@ -256,9 +296,8 @@ func (t *Table) CleanSlotIfStale(key uint32, commit uint64) bool {
 func (t *Table) Reset() {
 	for i := range t.stages {
 		arr := t.stages[i].arr
-		for j := range arr.slots {
-			arr.slots[j] = slot{}
-		}
+		arr.each(func(j int, _ *slot) { arr.slots[j] = slot{} })
+		clear(arr.occ)
 	}
 	t.used = 0
 }

@@ -302,3 +302,88 @@ func TestScanVisitsLiveEntries(t *testing.T) {
 		}
 	}
 }
+
+// TestOccupancyBitmapMatchesSlots runs random Insert/Delete/SweepStale/
+// Reset traffic, under enough load that inserts collide and fail, on a
+// table whose stage size is not a multiple of 64, and after every step
+// checks the simulator-side bitmap against the modeled registers:
+// every bit equals its slot's used flag (padding bits stay clear),
+// Used counts the set bits, Lookup agrees with a probe of the used
+// flags alone, and Scan visits entries in full-array order.
+func TestOccupancyBitmapMatchesSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tb := NewTable(3, 200)
+	seq := uint64(0)
+	check := func(step int, what string) {
+		t.Helper()
+		var want [][2]uint64
+		used := 0
+		for i := range tb.stages {
+			arr := tb.stages[i].arr
+			if len(arr.occ) != (len(arr.slots)+63)/64 {
+				t.Fatalf("stage %d: %d bitmap words for %d slots", i, len(arr.occ), len(arr.slots))
+			}
+			for j := 0; j < 64*len(arr.occ); j++ {
+				bit := arr.occ[j>>6]&(1<<(j&63)) != 0
+				if j >= len(arr.slots) {
+					if bit {
+						t.Fatalf("step %d (%s): stage %d padding bit %d set", step, what, i, j)
+					}
+					continue
+				}
+				if sl := arr.slots[j]; bit != sl.used {
+					t.Fatalf("step %d (%s): stage %d slot %d bit %v, used %v", step, what, i, j, bit, sl.used)
+				} else if sl.used {
+					want = append(want, [2]uint64{uint64(sl.key), sl.val})
+					used++
+				}
+			}
+		}
+		if tb.Used() != used {
+			t.Fatalf("step %d (%s): Used %d, slots say %d", step, what, tb.Used(), used)
+		}
+		var got [][2]uint64
+		tb.Scan(func(k uint32, v uint64) { got = append(got, [2]uint64{uint64(k), v}) })
+		if len(got) != len(want) {
+			t.Fatalf("step %d (%s): Scan visited %d entries, array holds %d", step, what, len(got), len(want))
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("step %d (%s): Scan entry %d = %v, array order says %v", step, what, k, got[k], want[k])
+			}
+		}
+		for key := uint32(0); key < 300; key++ {
+			v, ok := tb.Lookup(key)
+			var rv uint64
+			rok := false
+			for i := range tb.stages {
+				st := &tb.stages[i]
+				if sl := st.arr.slots[st.index(key)]; sl.used && sl.key == key {
+					rv, rok = sl.val, true
+					break
+				}
+			}
+			if ok != rok || v != rv {
+				t.Fatalf("step %d (%s): Lookup(%d) = %d %v, used flags say %d %v", step, what, key, v, ok, rv, rok)
+			}
+		}
+	}
+	for step := 0; step < 3000; step++ {
+		key := uint32(rng.Intn(300))
+		switch op := rng.Intn(100); {
+		case op < 55:
+			seq++
+			_ = tb.Insert(key, seq) // ErrTableFull is expected under this load
+			check(step, "insert")
+		case op < 85:
+			tb.Delete(key, uint64(rng.Int63n(int64(seq)+1)))
+			check(step, "delete")
+		case op < 98:
+			tb.SweepStale(seq - min(seq, uint64(rng.Intn(100))))
+			check(step, "sweep")
+		default:
+			tb.Reset()
+			check(step, "reset")
+		}
+	}
+}

@@ -46,11 +46,11 @@ type Base struct {
 }
 
 // NewBase constructs the shared state.
-func NewBase(env Env, g GroupConfig, class ReadClass, shards int) *Base {
+func NewBase(env Env, g GroupConfig, class ReadClass) *Base {
 	return &Base{
 		Env:   env,
 		Group: g,
-		Store: store.New(shards),
+		Store: store.New(),
 		CT:    NewClientTable(),
 		Class: class,
 	}

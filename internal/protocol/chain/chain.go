@@ -71,9 +71,9 @@ type Replica struct {
 }
 
 // New builds a chain node.
-func New(env protocol.Env, g protocol.GroupConfig, shards int) *Replica {
+func New(env protocol.Env, g protocol.GroupConfig) *Replica {
 	r := &Replica{
-		Base:  protocol.NewBase(env, g, protocol.ReadAhead, shards),
+		Base:  protocol.NewBase(env, g, protocol.ReadAhead),
 		next:  g.Self + 1,
 		prev:  g.Self - 1,
 		alive: make([]bool, g.N()),

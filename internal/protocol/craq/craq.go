@@ -139,7 +139,7 @@ type Replica struct {
 func (r *Replica) ClientTable() *protocol.ClientTable { return r.ct }
 
 // New builds a CRAQ node.
-func New(env protocol.Env, g protocol.GroupConfig, _ int) *Replica {
+func New(env protocol.Env, g protocol.GroupConfig) *Replica {
 	r := &Replica{
 		env:     env,
 		group:   g,

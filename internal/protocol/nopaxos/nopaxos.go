@@ -153,9 +153,9 @@ type Replica struct {
 }
 
 // New builds a NOPaxos replica.
-func New(env protocol.Env, g protocol.GroupConfig, shards int, opts Options) *Replica {
+func New(env protocol.Env, g protocol.GroupConfig, opts Options) *Replica {
 	r := &Replica{
-		Base:     protocol.NewBase(env, g, protocol.ReadBehind, shards),
+		Base:     protocol.NewBase(env, g, protocol.ReadBehind),
 		opts:     opts,
 		pending:  make(map[uint64]*wire.Packet),
 		syncAcks: make(map[uint64]map[int]uint64),

@@ -65,10 +65,10 @@ type Replica struct {
 	ReadsQueued     uint64
 }
 
-// New builds a replica. shards is the store shard count.
-func New(env protocol.Env, g protocol.GroupConfig, shards int) *Replica {
+// New builds a replica.
+func New(env protocol.Env, g protocol.GroupConfig) *Replica {
 	r := &Replica{
-		Base:         protocol.NewBase(env, g, protocol.ReadAhead, shards),
+		Base:         protocol.NewBase(env, g, protocol.ReadAhead),
 		pending:      make(map[uint64]*pendingWrite),
 		pendingByObj: make(map[wire.ObjectID]wire.Seq),
 		active:       make(map[int]bool),

@@ -22,7 +22,7 @@ func group(t *testing.T, n int) (*ptest.Harness, []*Replica) {
 	reps := make([]*Replica, n)
 	for i := range reps {
 		g := protocol.GroupConfig{Replicas: addrs, Self: i}
-		reps[i] = New(h.Env(addrs[i], i), g, 8)
+		reps[i] = New(h.Env(addrs[i], i), g)
 		h.Register(addrs[i], reps[i])
 	}
 	return h, reps

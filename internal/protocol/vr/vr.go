@@ -186,9 +186,9 @@ type Replica struct {
 }
 
 // New builds a VR replica. The group must have 2F+1 members.
-func New(env protocol.Env, g protocol.GroupConfig, shards int, opts Options) *Replica {
+func New(env protocol.Env, g protocol.GroupConfig, opts Options) *Replica {
 	r := &Replica{
-		Base:      protocol.NewBase(env, g, protocol.ReadBehind, shards),
+		Base:      protocol.NewBase(env, g, protocol.ReadBehind),
 		opts:      opts,
 		okAcks:    make(map[uint64]map[int]bool),
 		execPoint: make([]uint64, g.N()),

@@ -20,7 +20,7 @@ func group(t *testing.T, n int, opts Options) (*ptest.Harness, []*Replica) {
 	reps := make([]*Replica, n)
 	for i := range reps {
 		g := protocol.GroupConfig{Replicas: addrs, Self: i, F: (n - 1) / 2}
-		reps[i] = New(h.Env(addrs[i], i), g, 8, opts)
+		reps[i] = New(h.Env(addrs[i], i), g, opts)
 		h.Register(addrs[i], reps[i])
 	}
 	return h, reps

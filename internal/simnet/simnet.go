@@ -108,6 +108,36 @@ type queued struct {
 	msg  Message
 }
 
+// ring is a node's FIFO wait queue: a power-of-two circular buffer, so
+// push and pop are O(1) however long the backlog grows (past the knee,
+// replica queues hold thousands of messages).
+type ring struct {
+	buf  []queued
+	head int
+	n    int
+}
+
+func (r *ring) push(q queued) {
+	if r.n == len(r.buf) {
+		buf := make([]queued, max(16, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = q
+	r.n++
+}
+
+// pop removes the oldest entry; the ring must be non-empty.
+func (r *ring) pop() queued {
+	q := r.buf[r.head]
+	r.buf[r.head] = queued{}
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return q
+}
+
 // Tracer observes the life of a message inside a node's processor
 // model: arrival off the link, service start on a worker, and service
 // completion. simnet knows nothing about packets or spans — the
@@ -140,12 +170,22 @@ type Node struct {
 
 	down bool
 	idle int // idle workers
-	q    []queued
+	q    ring
+
+	// links holds this node's outgoing link overrides (SetLink); a
+	// node has a handful at most, so a scan beats a map.
+	links []link
 
 	// Stats
 	Delivered uint64 // messages handed to the handler
 	Dropped   uint64 // messages dropped (down node or full queue)
 	BusyTime  time.Duration
+}
+
+// link is one directed link override, stored on its source node.
+type link struct {
+	to  NodeID
+	cfg LinkConfig
 }
 
 // delivery is one in-flight message: the argument threaded through the
@@ -161,13 +201,20 @@ type delivery struct {
 	msg  Message
 }
 
+// pageBits sizes the node table's pages: node IDs are sparse (the
+// cluster lays replicas out in 1024-wide group windows and clients
+// from 1<<20), so the table is two-level, indexed by id>>pageBits and
+// then by the low bits, and only touched pages are allocated.
+const pageBits = 10
+
+type nodePage [1 << pageBits]*Node
+
 // Network owns the nodes and links.
 type Network struct {
 	eng         *sim.Engine
 	rng         *rand.Rand
-	nodes       map[NodeID]*Node
+	pages       []*nodePage
 	defaultLink LinkConfig
-	links       map[[2]NodeID]LinkConfig
 
 	// free is the delivery-record pool; arriveFn/completeFn are the
 	// long-lived callbacks AfterCall pairs the records with (a method
@@ -189,9 +236,7 @@ func New(eng *sim.Engine, def LinkConfig) *Network {
 	n := &Network{
 		eng:         eng,
 		rng:         eng.Rand(),
-		nodes:       make(map[NodeID]*Node),
 		defaultLink: def,
-		links:       make(map[[2]NodeID]LinkConfig),
 	}
 	n.arriveFn = func(a any) {
 		d := a.(*delivery)
@@ -236,20 +281,44 @@ func (n *Network) Now() sim.Time { return n.eng.Now() }
 // AddNode registers a node. Panics on duplicate IDs: topology is fixed
 // at assembly time and a duplicate is a harness bug.
 func (n *Network) AddNode(id NodeID, h Handler, cfg ProcConfig) *Node {
-	if _, ok := n.nodes[id]; ok {
+	if n.Node(id) != nil {
 		panic(fmt.Sprintf("simnet: duplicate node %d", id))
 	}
 	nd := &Node{id: id, net: n, handler: h, cfg: cfg, idle: cfg.Workers}
-	n.nodes[id] = nd
+	p := int(id >> pageBits)
+	if p >= len(n.pages) {
+		n.pages = append(n.pages, make([]*nodePage, p+1-len(n.pages))...)
+	}
+	if n.pages[p] == nil {
+		n.pages[p] = new(nodePage)
+	}
+	n.pages[p][id&(1<<pageBits-1)] = nd
 	return nd
 }
 
 // Node returns the node with the given ID, or nil.
-func (n *Network) Node(id NodeID) *Node { return n.nodes[id] }
+func (n *Network) Node(id NodeID) *Node {
+	p := uint(id >> pageBits) // a negative ID wraps past every page
+	if p >= uint(len(n.pages)) || n.pages[p] == nil {
+		return nil
+	}
+	return n.pages[p][id&(1<<pageBits-1)]
+}
 
 // SetLink overrides the link config for the directed pair (from, to).
+// The override lives on the source node, which must already exist.
 func (n *Network) SetLink(from, to NodeID, cfg LinkConfig) {
-	n.links[[2]NodeID{from, to}] = cfg
+	src := n.Node(from)
+	if src == nil {
+		panic(fmt.Sprintf("simnet: link from unknown node %d", from))
+	}
+	for i := range src.links {
+		if src.links[i].to == to {
+			src.links[i].cfg = cfg
+			return
+		}
+	}
+	src.links = append(src.links, link{to, cfg})
 }
 
 // SetLinkBoth overrides both directions.
@@ -258,11 +327,16 @@ func (n *Network) SetLinkBoth(a, b NodeID, cfg LinkConfig) {
 	n.SetLink(b, a, cfg)
 }
 
-func (n *Network) linkFor(from, to NodeID) LinkConfig {
-	if cfg, ok := n.links[[2]NodeID{from, to}]; ok {
-		return cfg
+// linkFor returns the config of the link from src to to.
+func (n *Network) linkFor(src *Node, to NodeID) *LinkConfig {
+	if src != nil {
+		for i := range src.links {
+			if src.links[i].to == to {
+				return &src.links[i].cfg
+			}
+		}
 	}
-	return n.defaultLink
+	return &n.defaultLink
 }
 
 // Send transmits msg from one node to another, applying the link's
@@ -272,16 +346,17 @@ func (n *Network) linkFor(from, to NodeID) LinkConfig {
 // equivalent to a crashed process.
 func (n *Network) Send(from, to NodeID, msg Message) {
 	n.Sent++
-	if src, ok := n.nodes[from]; ok && src.down {
+	src := n.Node(from)
+	if src != nil && src.down {
 		releaseMsg(msg)
 		return
 	}
-	dst, ok := n.nodes[to]
-	if !ok {
+	dst := n.Node(to)
+	if dst == nil {
 		releaseMsg(msg) // destination never existed; silently dropped like UDP
 		return
 	}
-	cfg := n.linkFor(from, to)
+	cfg := n.linkFor(src, to)
 	if cfg.DupProb > 0 {
 		// Take a provisional reference before the first transmit can
 		// consume the sender's: each transmit call owns exactly one,
@@ -298,7 +373,7 @@ func (n *Network) Send(from, to NodeID, msg Message) {
 	n.transmit(cfg, from, dst, msg)
 }
 
-func (n *Network) transmit(cfg LinkConfig, from NodeID, dst *Node, msg Message) {
+func (n *Network) transmit(cfg *LinkConfig, from NodeID, dst *Node, msg Message) {
 	if cfg.DropProb > 0 && (cfg.DropFilter == nil || cfg.DropFilter(msg)) &&
 		n.rng.Float64() < cfg.DropProb {
 		releaseMsg(msg)
@@ -318,17 +393,16 @@ func (n *Network) transmit(cfg LinkConfig, from NodeID, dst *Node, msg Message) 
 // drops all arrivals and loses its queued messages, matching a crashed
 // process or a switch that stops forwarding.
 func (n *Network) SetDown(id NodeID, down bool) {
-	nd := n.nodes[id]
+	nd := n.Node(id)
 	if nd == nil {
 		return
 	}
 	nd.down = down
 	if down {
-		nd.Dropped += uint64(len(nd.q))
-		for _, qd := range nd.q {
-			releaseMsg(qd.msg)
+		nd.Dropped += uint64(nd.q.n)
+		for nd.q.n > 0 {
+			releaseMsg(nd.q.pop().msg)
 		}
-		nd.q = nil
 		// In-service work is abandoned; workers become idle on
 		// recovery. We reset immediately: completions for abandoned
 		// work are suppressed by the down check in complete().
@@ -338,7 +412,7 @@ func (n *Network) SetDown(id NodeID, down bool) {
 
 // IsDown reports the node's failure state.
 func (n *Network) IsDown(id NodeID) bool {
-	nd := n.nodes[id]
+	nd := n.Node(id)
 	return nd != nil && nd.down
 }
 
@@ -363,12 +437,12 @@ func (nd *Node) arrive(from NodeID, msg Message) {
 		nd.serve(from, msg)
 		return
 	}
-	if nd.cfg.QueueLimit > 0 && len(nd.q) >= nd.cfg.QueueLimit {
+	if nd.cfg.QueueLimit > 0 && nd.q.n >= nd.cfg.QueueLimit {
 		nd.Dropped++
 		releaseMsg(msg)
 		return
 	}
-	nd.q = append(nd.q, queued{from, msg})
+	nd.q.push(queued{from, msg})
 }
 
 // serve begins service for a message on a (now busy) worker.
@@ -396,12 +470,8 @@ func (nd *Node) complete(from NodeID, msg Message) {
 	}
 	nd.Delivered++
 	nd.handler.Recv(from, msg)
-	if len(nd.q) > 0 {
-		next := nd.q[0]
-		// Pop front; amortize by shifting (queues stay short relative
-		// to volume because service is fast).
-		copy(nd.q, nd.q[1:])
-		nd.q = nd.q[:len(nd.q)-1]
+	if nd.q.n > 0 {
+		next := nd.q.pop()
 		nd.serve(next.from, next.msg)
 		return
 	}
@@ -409,7 +479,7 @@ func (nd *Node) complete(from NodeID, msg Message) {
 }
 
 // QueueLen returns the number of waiting (not in-service) messages.
-func (nd *Node) QueueLen() int { return len(nd.q) }
+func (nd *Node) QueueLen() int { return nd.q.n }
 
 // Utilization returns busy-time / (workers × elapsed), a 0..1 load
 // factor, for the elapsed duration since the run started.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"harmonia/internal/sim"
+	"harmonia/internal/wire"
 )
 
 type collector struct {
@@ -148,8 +149,8 @@ func TestQueueLimitDrops(t *testing.T) {
 	}
 	eng.Run(sim.Time(time.Second))
 	// 1 in service + 2 queued survive = 3 delivered, 7 dropped.
-	if len(c.msgs) != 3 {
-		t.Fatalf("delivered %d, want 3", len(c.msgs))
+	if len(c.msgs) != 3 || c.msgs[0] != 0 || c.msgs[1] != 1 || c.msgs[2] != 2 {
+		t.Fatalf("delivered %v, want [0 1 2]", c.msgs)
 	}
 	if nd.Dropped != 7 {
 		t.Fatalf("dropped %d, want 7", nd.Dropped)
@@ -289,5 +290,83 @@ func TestReorderingCanInvertOrder(t *testing.T) {
 	}
 	if !inverted {
 		t.Fatal("no reordering observed")
+	}
+}
+
+// TestQueueFIFOAcrossRingGrowth feeds a single-worker node bursts of
+// messages between partial drains, so its wait queue wraps around the
+// ring and grows while wrapped, and checks every message is handled
+// exactly once in send order. It asserts that the run did wrap and did
+// grow from a non-zero head.
+func TestQueueFIFOAcrossRingGrowth(t *testing.T) {
+	eng, net := newNet(3, LinkConfig{})
+	c := &collector{}
+	net.AddNode(1, HandlerFunc(func(NodeID, Message) {}), ProcConfig{})
+	nd := net.AddNode(2, c, ProcConfig{
+		Workers: 1,
+		Cost:    func(Message) time.Duration { return time.Microsecond },
+	})
+	rng := eng.Rand()
+	sent := 0
+	var sawWrap, sawGrowOffset bool
+	for round := 0; round < 300; round++ {
+		head, size := nd.q.head, len(nd.q.buf)
+		for k := rng.Intn(40); k > 0; k-- {
+			net.Send(1, 2, sent)
+			sent++
+		}
+		eng.RunFor(0) // land the burst
+		sawGrowOffset = sawGrowOffset || (len(nd.q.buf) != size && head != 0)
+		sawWrap = sawWrap || nd.q.head+nd.q.n > len(nd.q.buf)
+		eng.RunFor(time.Duration(rng.Intn(30)) * time.Microsecond)
+	}
+	eng.Run(sim.Time(time.Second))
+	if len(c.msgs) != sent {
+		t.Fatalf("delivered %d of %d", len(c.msgs), sent)
+	}
+	for i, m := range c.msgs {
+		if m.(int) != i {
+			t.Fatalf("message %d handled %d-th: FIFO order broken", m, i)
+		}
+	}
+	if nd.QueueLen() != 0 || nd.Dropped != 0 {
+		t.Fatalf("queue len %d, dropped %d after drain", nd.QueueLen(), nd.Dropped)
+	}
+	if !sawWrap || !sawGrowOffset {
+		t.Fatalf("coverage: wrapped %v, grew from a non-zero head %v", sawWrap, sawGrowOffset)
+	}
+}
+
+// TestDownReleasesQueuedPackets crashes a node with a standing backlog
+// of pool-managed packets: every queued packet is counted as dropped
+// and released, and the one in service is released when its
+// completion is suppressed.
+func TestDownReleasesQueuedPackets(t *testing.T) {
+	eng, net := newNet(1, LinkConfig{})
+	c := &collector{}
+	net.AddNode(1, HandlerFunc(func(NodeID, Message) {}), ProcConfig{})
+	nd := net.AddNode(2, c, ProcConfig{
+		Workers: 1,
+		Cost:    func(Message) time.Duration { return time.Millisecond },
+	})
+	pkts := make([]*wire.Packet, 40)
+	for i := range pkts {
+		pkts[i] = wire.NewPacket()
+		net.Send(1, 2, pkts[i])
+	}
+	eng.RunFor(1500 * time.Microsecond) // one served, one in service
+	if len(c.msgs) != 1 || nd.QueueLen() != 38 {
+		t.Fatalf("before crash: %d delivered, %d queued", len(c.msgs), nd.QueueLen())
+	}
+	c.msgs[0].(*wire.Packet).Release() // the handler's reference
+	net.SetDown(2, true)
+	if nd.Dropped != 38 || nd.QueueLen() != 0 {
+		t.Fatalf("after crash: dropped %d, queued %d; want 38, 0", nd.Dropped, nd.QueueLen())
+	}
+	eng.Run(sim.Time(time.Second))
+	for i, p := range pkts {
+		if p.Managed() {
+			t.Fatalf("packet %d still holds a reference after the crash", i)
+		}
 	}
 }

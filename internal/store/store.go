@@ -12,6 +12,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"harmonia/internal/wire"
 )
@@ -27,13 +28,18 @@ type Object struct {
 // number does not exceed the last applied one.
 var ErrOutOfOrder = errors.New("store: write out of sequence order")
 
-// Store is a sharded key-value store. Shards model the paper's eight
-// Redis processes per server; the simulation charges service time at
-// the node level, so shards here are only about bookkeeping fidelity,
-// not Go-level parallelism (the simulator is single-threaded).
+// Store is the replica's key-value table: one open-addressed hash
+// table with linear probing over a power-of-two array of inline
+// entries, so a read or write touches one contiguous probe run and
+// never the Go map runtime. Deletion backward-shifts the displaced
+// probe run (as in internal/cluster's pendingtab.go), so lookups never
+// see tombstones and the table stays dense however many objects churn
+// through it. Service time is charged at the node level (simnet), so
+// the layout here is a simulator-speed concern only.
 type Store struct {
-	shards []map[wire.ObjectID]Object
-	nshard uint32
+	tab   []entry
+	n     int   // live objects
+	shift uint8 // 64 − log2(len(tab)), for home
 
 	// lastApplied is the sequence number of the most recent write
 	// applied to any object (R.seq in the paper's proof), used by
@@ -50,20 +56,99 @@ type Store struct {
 	slotCount [wire.NumSlots]int32
 }
 
-// New creates a store with the given shard count (minimum 1).
-func New(shards int) *Store {
-	if shards < 1 {
-		shards = 1
-	}
-	s := &Store{shards: make([]map[wire.ObjectID]Object, shards), nshard: uint32(shards)}
-	for i := range s.shards {
-		s.shards[i] = make(map[wire.ObjectID]Object)
-	}
-	return s
+// entry is one table cell; used distinguishes an empty cell, since
+// every uint32 is a legal ObjectID.
+type entry struct {
+	id   wire.ObjectID
+	used bool
+	obj  Object
 }
 
-func (s *Store) shard(id wire.ObjectID) map[wire.ObjectID]Object {
-	return s.shards[uint32(id)%s.nshard]
+// New creates an empty store.
+func New() *Store { return &Store{} }
+
+// home returns id's home cell: Fibonacci hashing keeps the high
+// product bits, so sequential IDs spread across the table.
+func (s *Store) home(id wire.ObjectID) uint64 {
+	return (uint64(id) * 0x9E3779B97F4A7C15) >> s.shift
+}
+
+// find returns the cell holding id, or -1.
+func (s *Store) find(id wire.ObjectID) int {
+	if s.n == 0 {
+		return -1
+	}
+	mask := uint64(len(s.tab) - 1)
+	for i := s.home(id); ; i = (i + 1) & mask {
+		e := &s.tab[i]
+		if !e.used {
+			return -1
+		}
+		if e.id == id {
+			return int(i)
+		}
+	}
+}
+
+// put inserts or replaces id's object, growing at 3/4 load.
+func (s *Store) put(id wire.ObjectID, o Object) {
+	if 4*(s.n+1) > 3*len(s.tab) {
+		s.grow()
+	}
+	mask := uint64(len(s.tab) - 1)
+	for i := s.home(id); ; i = (i + 1) & mask {
+		e := &s.tab[i]
+		if !e.used {
+			*e = entry{id: id, used: true, obj: o}
+			s.n++
+			s.slotCount[wire.SlotOf(id)]++
+			return
+		}
+		if e.id == id {
+			e.obj = o
+			return
+		}
+	}
+}
+
+func (s *Store) grow() {
+	old := s.tab
+	s.tab = make([]entry, max(16, 2*len(old)))
+	s.shift = uint8(64 - bits.TrailingZeros(uint(len(s.tab))))
+	mask := uint64(len(s.tab) - 1)
+	for k := range old {
+		if !old[k].used {
+			continue
+		}
+		i := s.home(old[k].id)
+		for s.tab[i].used {
+			i = (i + 1) & mask
+		}
+		s.tab[i] = old[k]
+	}
+}
+
+// removeAt deletes the entry in cell i. Backward shift: walk the rest
+// of the probe run and pull every entry whose home cell lies at or
+// before the hole into it, keeping all remaining entries reachable
+// from their home cells. A later entry may land in cell i, so a scan
+// that deletes as it goes must re-examine i.
+func (s *Store) removeAt(i uint64) {
+	s.slotCount[wire.SlotOf(s.tab[i].id)]--
+	s.n--
+	mask := uint64(len(s.tab) - 1)
+	j := i
+	for {
+		j = (j + 1) & mask
+		if !s.tab[j].used {
+			break
+		}
+		if (j-s.home(s.tab[j].id))&mask >= (j-i)&mask {
+			s.tab[i] = s.tab[j]
+			i = j
+		}
+	}
+	s.tab[i] = entry{}
 }
 
 // Apply installs a write. It returns ErrOutOfOrder if seq does not
@@ -76,19 +161,13 @@ func (s *Store) Apply(id wire.ObjectID, value []byte, seq wire.Seq, del bool) er
 	}
 	s.lastApplied = seq
 	s.applied++
-	sh := s.shard(id)
-	_, existed := sh[id]
 	if del {
-		if existed {
-			delete(sh, id)
-			s.slotCount[wire.SlotOf(id)]--
+		if i := s.find(id); i >= 0 {
+			s.removeAt(uint64(i))
 		}
 		return nil
 	}
-	if !existed {
-		s.slotCount[wire.SlotOf(id)]++
-	}
-	sh[id] = Object{Value: value, Seq: seq}
+	s.put(id, Object{Value: value, Seq: seq})
 	return nil
 }
 
@@ -96,11 +175,7 @@ func (s *Store) Apply(id wire.ObjectID, value []byte, seq wire.Seq, del bool) er
 // replica before it serves traffic (e.g. preloading a key space).
 // lastApplied only ever moves forward.
 func (s *Store) Seed(id wire.ObjectID, value []byte, seq wire.Seq) {
-	sh := s.shard(id)
-	if _, existed := sh[id]; !existed {
-		s.slotCount[wire.SlotOf(id)]++
-	}
-	sh[id] = Object{Value: value, Seq: seq}
+	s.put(id, Object{Value: value, Seq: seq})
 	if s.lastApplied.Less(seq) {
 		s.lastApplied = seq
 	}
@@ -108,8 +183,10 @@ func (s *Store) Seed(id wire.ObjectID, value []byte, seq wire.Seq) {
 
 // Get returns the object and whether it exists.
 func (s *Store) Get(id wire.ObjectID) (Object, bool) {
-	o, ok := s.shard(id)[id]
-	return o, ok
+	if i := s.find(id); i >= 0 {
+		return s.tab[i].obj, true
+	}
+	return Object{}, false
 }
 
 // ObjectSeq returns the sequence number of the last write applied to
@@ -132,13 +209,7 @@ func (s *Store) LastApplied() wire.Seq { return s.lastApplied }
 func (s *Store) AppliedCount() uint64 { return s.applied }
 
 // Len returns the number of live objects.
-func (s *Store) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += len(sh)
-	}
-	return n
-}
+func (s *Store) Len() int { return s.n }
 
 // Snapshot copies the full state, used for state transfer when a
 // replica falls behind or a new replica joins.
@@ -149,10 +220,10 @@ type Snapshot struct {
 
 // Snapshot captures the current state.
 func (s *Store) Snapshot() Snapshot {
-	snap := Snapshot{Objects: make(map[wire.ObjectID]Object, s.Len()), LastApplied: s.lastApplied}
-	for _, sh := range s.shards {
-		for k, v := range sh {
-			snap.Objects[k] = v
+	snap := Snapshot{Objects: make(map[wire.ObjectID]Object, s.n), LastApplied: s.lastApplied}
+	for i := range s.tab {
+		if e := &s.tab[i]; e.used {
+			snap.Objects[e.id] = e.obj
 		}
 	}
 	return snap
@@ -160,13 +231,9 @@ func (s *Store) Snapshot() Snapshot {
 
 // Restore replaces the store contents with snap.
 func (s *Store) Restore(snap Snapshot) {
-	for i := range s.shards {
-		s.shards[i] = make(map[wire.ObjectID]Object)
-	}
-	s.slotCount = [wire.NumSlots]int32{}
+	s.tab, s.n, s.slotCount = nil, 0, [wire.NumSlots]int32{}
 	for k, v := range snap.Objects {
-		s.shard(k)[k] = v
-		s.slotCount[wire.SlotOf(k)]++
+		s.put(k, v)
 	}
 	s.lastApplied = snap.LastApplied
 }
@@ -174,12 +241,10 @@ func (s *Store) Restore(snap Snapshot) {
 // ExtractSlot copies every live object whose ID hashes to the given
 // routing slot — the unit of state a group handoff transfers.
 func (s *Store) ExtractSlot(slot int) map[wire.ObjectID]Object {
-	out := make(map[wire.ObjectID]Object)
-	for _, sh := range s.shards {
-		for id, o := range sh {
-			if wire.SlotOf(id) == slot {
-				out[id] = o
-			}
+	out := make(map[wire.ObjectID]Object, s.slotCount[slot])
+	for i := range s.tab {
+		if e := &s.tab[i]; e.used && wire.SlotOf(e.id) == slot {
+			out[e.id] = e.obj
 		}
 	}
 	return out
@@ -203,16 +268,13 @@ func (s *Store) InstallSlot(objs map[wire.ObjectID]Object) {
 // slot's reads can no longer reach this group, and keeping the copies
 // would only shadow the now-authoritative destination.
 func (s *Store) DropSlot(slot int) int {
-	n := 0
-	for _, sh := range s.shards {
-		for id := range sh {
-			if wire.SlotOf(id) == slot {
-				delete(sh, id)
-				n++
-			}
+	n := int(s.slotCount[slot])
+	for i := 0; i < len(s.tab) && s.slotCount[slot] > 0; i++ {
+		// removeAt may shift a later entry into cell i: re-examine it.
+		for s.tab[i].used && wire.SlotOf(s.tab[i].id) == slot {
+			s.removeAt(uint64(i))
 		}
 	}
-	s.slotCount[slot] -= int32(n)
 	return n
 }
 

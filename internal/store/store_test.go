@@ -12,7 +12,7 @@ import (
 func seq(n uint64) wire.Seq { return wire.Seq{Epoch: 1, N: n} }
 
 func TestApplyGet(t *testing.T) {
-	s := New(8)
+	s := New()
 	if err := s.Apply(1, []byte("v1"), seq(1), false); err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestApplyGet(t *testing.T) {
 }
 
 func TestApplyOutOfOrderRejected(t *testing.T) {
-	s := New(4)
+	s := New()
 	if err := s.Apply(1, []byte("a"), seq(5), false); err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestApplyOutOfOrderRejected(t *testing.T) {
 }
 
 func TestApplyEpochOrdering(t *testing.T) {
-	s := New(4)
+	s := New()
 	_ = s.Apply(1, []byte("old"), wire.Seq{Epoch: 1, N: 100}, false)
 	// A new-epoch write with a smaller counter is still "later".
 	if err := s.Apply(1, []byte("new"), wire.Seq{Epoch: 2, N: 1}, false); err != nil {
@@ -63,7 +63,7 @@ func TestApplyEpochOrdering(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	s := New(4)
+	s := New()
 	_ = s.Apply(1, []byte("x"), seq(1), false)
 	if err := s.Apply(1, nil, seq(2), true); err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestObjectSeqAndLastApplied(t *testing.T) {
-	s := New(4)
+	s := New()
 	_ = s.Apply(10, []byte("a"), seq(1), false)
 	_ = s.Apply(20, []byte("b"), seq(2), false)
 	if s.ObjectSeq(10) != seq(1) || s.ObjectSeq(20) != seq(2) {
@@ -92,7 +92,7 @@ func TestObjectSeqAndLastApplied(t *testing.T) {
 }
 
 func TestLenAndAppliedCount(t *testing.T) {
-	s := New(4)
+	s := New()
 	for i := uint64(1); i <= 10; i++ {
 		_ = s.Apply(wire.ObjectID(i%3), []byte("v"), seq(i), false)
 	}
@@ -105,13 +105,15 @@ func TestLenAndAppliedCount(t *testing.T) {
 }
 
 func TestSnapshotRestore(t *testing.T) {
-	s := New(8)
+	s := New()
 	for i := uint64(1); i <= 50; i++ {
 		_ = s.Apply(wire.ObjectID(i), []byte{byte(i)}, seq(i), false)
 	}
 	snap := s.Snapshot()
 
-	fresh := New(2) // different shard count must not matter
+	// Restore replaces whatever the target held.
+	fresh := New()
+	fresh.Seed(wire.ObjectID(1000), []byte("gone"), wire.ZeroSeq)
 	fresh.Restore(snap)
 	if fresh.Len() != 50 || fresh.LastApplied() != seq(50) {
 		t.Fatalf("restore: len=%d last=%v", fresh.Len(), fresh.LastApplied())
@@ -122,6 +124,9 @@ func TestSnapshotRestore(t *testing.T) {
 			t.Fatalf("object %d wrong after restore: %+v %v", i, o, ok)
 		}
 	}
+	if _, ok := fresh.Get(wire.ObjectID(1000)); ok {
+		t.Fatal("restore kept an object the snapshot does not hold")
+	}
 	// Snapshot must be a copy: mutating the restored store must not
 	// affect the source.
 	_ = fresh.Apply(1, []byte("zz"), seq(99), false)
@@ -130,19 +135,12 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
-func TestMinShardCount(t *testing.T) {
-	s := New(0)
-	if err := s.Apply(1, []byte("x"), seq(1), false); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: the store agrees with a model map for any in-order write
 // sequence with random keys/deletes.
 func TestStoreMatchesModel(t *testing.T) {
 	f := func(sd int64) bool {
 		rng := rand.New(rand.NewSource(sd))
-		s := New(8)
+		s := New()
 		model := map[wire.ObjectID][]byte{}
 		for i := uint64(1); i <= 500; i++ {
 			id := wire.ObjectID(rng.Intn(40))
@@ -180,7 +178,7 @@ func TestStoreMatchesModel(t *testing.T) {
 func TestSeqInvariants(t *testing.T) {
 	f := func(sd int64) bool {
 		rng := rand.New(rand.NewSource(sd))
-		s := New(4)
+		s := New()
 		var max wire.Seq
 		for i := 0; i < 300; i++ {
 			sq := wire.Seq{Epoch: uint32(rng.Intn(3)), N: uint64(rng.Intn(1000))}
@@ -209,7 +207,7 @@ func TestSeqInvariants(t *testing.T) {
 }
 
 func TestExtractInstallDropSlot(t *testing.T) {
-	src := New(4)
+	src := New()
 	var inSlot, elsewhere []wire.ObjectID
 	for id := wire.ObjectID(1); len(inSlot) < 3 || len(elsewhere) < 2; id++ {
 		if wire.SlotOf(id) == 5 {
@@ -239,7 +237,7 @@ func TestExtractInstallDropSlot(t *testing.T) {
 	// Install into a destination already ahead in its own sequence
 	// space, with neutered (epoch-0) seqs: the destination must keep
 	// accepting its own writes afterwards.
-	dst := New(4)
+	dst := New()
 	if err := dst.Apply(elsewhere[0], []byte("d"), wire.Seq{Epoch: 1, N: 100}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -281,19 +279,17 @@ func TestExtractInstallDropSlot(t *testing.T) {
 // install, drop, restore — so the rebalancer's ObjectCost veto can
 // sample occupancy without a scan.
 func TestSlotCountsTrackOnline(t *testing.T) {
-	s := New(4)
+	s := New()
 	var knuth uint32 = 2654435761
 	verify := func(when string) {
 		t.Helper()
 		want := make(map[int]int)
-		for _, sh := range s.shards {
-			for id := range sh {
-				want[wire.SlotOf(id)]++
-			}
+		for id := range s.Snapshot().Objects {
+			want[wire.SlotOf(id)]++
 		}
 		got := s.SlotCounts()
 		for slot := 0; slot < wire.NumSlots; slot++ {
-			if got[slot] != want[slot] {
+			if got[slot] != want[slot] || len(s.ExtractSlot(slot)) != want[slot] {
 				t.Fatalf("%s: slot %d count %d, scan says %d", when, slot, got[slot], want[slot])
 			}
 		}
@@ -332,7 +328,7 @@ func TestSlotCountsTrackOnline(t *testing.T) {
 	verify("after drop")
 
 	snap := s.Snapshot()
-	s2 := New(2)
+	s2 := New()
 	s2.Seed(wire.ObjectID(7), []byte("x"), wire.Seq{})
 	s2.Restore(snap)
 	got := s2.SlotCounts()
@@ -341,5 +337,147 @@ func TestSlotCountsTrackOnline(t *testing.T) {
 		if got[slot] != want[slot] {
 			t.Fatalf("restore: slot %d count %d, want %d", slot, got[slot], want[slot])
 		}
+	}
+}
+
+// TestTableMatchesMapReference drives the open-addressed table with
+// random Seed/Apply/delete/DropSlot/ExtractSlot/Restore steps and
+// checks it against a plain map after every step: Len, Get for every
+// live and some dead IDs, and SlotCounts. IDs are drawn from a small
+// pool packed into a few routing slots, so DropSlot removes runs of
+// neighbours; the test also asserts it saw the table grow, a probe run
+// wrap past the last cell, and entries displaced from their home cells
+// (the ones a delete must backward-shift).
+func TestTableMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var pool []wire.ObjectID
+	for id := wire.ObjectID(rng.Uint32()); len(pool) < 400; id++ {
+		if slot := wire.SlotOf(id); slot < 4 || rng.Intn(64) == 0 {
+			pool = append(pool, id)
+		}
+		id += wire.ObjectID(rng.Intn(1 << 12))
+	}
+	s := New()
+	model := map[wire.ObjectID]Object{}
+	var last wire.Seq
+	n := uint64(0)
+	sizes := map[int]bool{}
+	var sawWrap, sawShift bool
+
+	check := func(step int, what string) {
+		t.Helper()
+		if s.Len() != len(model) {
+			t.Fatalf("step %d (%s): Len %d, reference %d", step, what, s.Len(), len(model))
+		}
+		if s.LastApplied() != last {
+			t.Fatalf("step %d (%s): lastApplied %v, reference %v", step, what, s.LastApplied(), last)
+		}
+		want := make([]int, wire.NumSlots)
+		for id := range model {
+			want[wire.SlotOf(id)]++
+		}
+		got := s.SlotCounts()
+		for slot := range want {
+			if got[slot] != want[slot] {
+				t.Fatalf("step %d (%s): slot %d count %d, reference %d", step, what, slot, got[slot], want[slot])
+			}
+		}
+		for _, id := range pool {
+			o, ok := s.Get(id)
+			ref, rok := model[id]
+			if ok != rok || !bytes.Equal(o.Value, ref.Value) || o.Seq != ref.Seq {
+				t.Fatalf("step %d (%s): Get(%d) = %+v %v, reference %+v %v", step, what, id, o, ok, ref, rok)
+			}
+		}
+		sizes[len(s.tab)] = true
+		mask := uint64(len(s.tab) - 1)
+		for i := range s.tab {
+			if e := &s.tab[i]; e.used {
+				h := s.home(e.id)
+				sawWrap = sawWrap || h > uint64(i)
+				sawShift = sawShift || (uint64(i)-h)&mask > 0
+			}
+		}
+	}
+
+	for step := 0; step < 4000; step++ {
+		id := pool[rng.Intn(len(pool))]
+		switch op := rng.Intn(100); {
+		case op < 50:
+			n++
+			sq := wire.Seq{Epoch: 1, N: n}
+			v := []byte{byte(n)}
+			if err := s.Apply(id, v, sq, false); err != nil {
+				t.Fatal(err)
+			}
+			model[id] = Object{Value: v, Seq: sq}
+			last = sq
+			check(step, "apply")
+		case op < 75:
+			n++
+			sq := wire.Seq{Epoch: 1, N: n}
+			if err := s.Apply(id, nil, sq, true); err != nil {
+				t.Fatal(err)
+			}
+			delete(model, id)
+			last = sq
+			check(step, "delete")
+		case op < 85:
+			sq := wire.Seq{Epoch: 0, N: uint64(rng.Intn(int(n) + 1))}
+			s.Seed(id, []byte("s"), sq)
+			model[id] = Object{Value: []byte("s"), Seq: sq}
+			if last.Less(sq) {
+				last = sq
+			}
+			check(step, "seed")
+		case op < 92:
+			slot := wire.SlotOf(id)
+			want := 0
+			for k := range model {
+				if wire.SlotOf(k) == slot {
+					want++
+				}
+			}
+			got := s.ExtractSlot(slot)
+			if len(got) != want {
+				t.Fatalf("step %d: ExtractSlot(%d) has %d, reference %d", step, slot, len(got), want)
+			}
+			for k, o := range got {
+				if ref, ok := model[k]; !ok || o.Seq != ref.Seq {
+					t.Fatalf("step %d: ExtractSlot(%d) returned %d = %+v, reference %+v %v", step, slot, k, o, ref, ok)
+				}
+			}
+			if dropped := s.DropSlot(slot); dropped != want {
+				t.Fatalf("step %d: DropSlot(%d) = %d, reference %d", step, slot, dropped, want)
+			}
+			for k := range got {
+				delete(model, k)
+			}
+			check(step, "drop")
+		case op < 94:
+			snap := Snapshot{Objects: make(map[wire.ObjectID]Object, len(model)), LastApplied: last}
+			for k, o := range model {
+				snap.Objects[k] = o
+			}
+			s = New()
+			s.Seed(pool[0], []byte("stale"), wire.ZeroSeq)
+			s.Restore(snap)
+			check(step, "restore")
+		default:
+			// Refill toward the pool size so the table grows again.
+			for _, k := range pool[:rng.Intn(len(pool))] {
+				n++
+				sq := wire.Seq{Epoch: 1, N: n}
+				if err := s.Apply(k, []byte{byte(n)}, sq, false); err != nil {
+					t.Fatal(err)
+				}
+				model[k] = Object{Value: []byte{byte(n)}, Seq: sq}
+				last = sq
+			}
+			check(step, "refill")
+		}
+	}
+	if len(sizes) < 4 || !sawWrap || !sawShift {
+		t.Fatalf("coverage: table sizes %v, wrapped run %v, displaced entry %v", sizes, sawWrap, sawShift)
 	}
 }

@@ -49,11 +49,11 @@ func (u *Uniform) N() int { return u.n }
 // spread across the key space.
 type Zipfian struct {
 	n        int
-	theta    float64
 	alpha    float64
 	zetan    float64
 	eta      float64
 	zeta2    float64
+	rank1    float64 // uz bound of rank 1: 1 + 0.5^theta
 	rng      *rand.Rand
 	scramble bool
 }
@@ -67,10 +67,11 @@ func NewZipfian(n int, theta float64, rng *rand.Rand) *Zipfian {
 	if theta <= 0 || theta >= 1 {
 		panic(fmt.Sprintf("workload: zipfian theta %v out of (0,1)", theta))
 	}
-	z := &Zipfian{n: n, theta: theta, rng: rng, scramble: true}
+	z := &Zipfian{n: n, rng: rng, scramble: true}
 	z.zetan = zeta(n, theta)
 	z.zeta2 = zeta(2, theta)
 	z.alpha = 1.0 / (1.0 - theta)
+	z.rank1 = 1 + math.Pow(0.5, theta)
 	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
 	return z
 }
@@ -92,7 +93,7 @@ func (z *Zipfian) Next() int {
 	switch {
 	case uz < 1:
 		rank = 0
-	case uz < 1+math.Pow(0.5, z.theta):
+	case uz < z.rank1:
 		rank = 1
 	default:
 		rank = int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
